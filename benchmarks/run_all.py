@@ -566,12 +566,11 @@ def suite_query(scale: float) -> dict:
         done.set()
 
     # the uncached cost of one battery pass, for the record
-    first_pass = _best(lambda: [evaluate_columnar(store, query,
-                                                  parallel=True)
+    first_pass = _best(lambda: [evaluate_columnar(store, query)
                                 for query in snap_queries])
 
     n_queries = 0
-    session = QuerySession(store, parallel=True)
+    session = QuerySession(store)
     thread = threading.Thread(target=snap_writer)
     start = time.perf_counter()
     thread.start()
@@ -684,7 +683,7 @@ def suite_query_incremental(scale: float) -> dict:
     thread.start()
     while not done.is_set():
         current = current.repin(reopened, tree.snapshot(), repin_stats)
-        session = QuerySession(current, parallel=True)
+        session = QuerySession(current)
         for query, want in zip(battery, expected):
             # the DOM is frozen while the engine churns labels, so
             # result sizes are stable — a free correctness probe

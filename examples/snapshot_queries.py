@@ -13,9 +13,8 @@ walkthrough shows the query layer cashing them in:
    straight off the snapshot's frozen per-shard byte images — no locks,
    no live-engine reads, one bulk extraction for the whole store;
 3. **writer threads** hammer the live engine the whole time while the
-   main thread evaluates XPath through the vectorized columnar engine
-   (``parallel=True`` fans each axis pass out over the per-shard
-   segments).  Every result is identical to the pre-pin evaluation —
+   main thread evaluates XPath through the vectorized columnar engine.
+   Every result is identical to the pre-pin evaluation —
    the pin means writers can never smear a query;
 4. re-pinning *after* the writers finish shows the other half of the
    contract: a fresh snapshot sees every committed write — and the
@@ -84,8 +83,7 @@ def main() -> None:
         try:
             for round_number in range(5):
                 for query, truth in zip(queries, expected):
-                    result = evaluate_columnar(store, query,
-                                               parallel=True)
+                    result = evaluate_columnar(store, query)
                     assert [id(e) for e in result] == truth, str(query)
             print("5 rounds x", len(queries),
                   "queries: all identical to the pre-pin evaluation")
@@ -116,7 +114,7 @@ def main() -> None:
             for step in range(10):
                 tree.insert_after(anchors[step], ("batch", batch, step))
             store = store.repin(doc, tree.snapshot())
-            session = QuerySession(store, parallel=True)
+            session = QuerySession(store)
             for query, truth in zip(queries, expected):
                 assert [id(e) for e in session.evaluate(query)] == truth
         print("3 edit-then-serve batches: incremental pins stayed "

@@ -493,6 +493,24 @@ class CompactLTree:
         payload = self._payload
         return [payload[leaf] for leaf in self.iter_leaves(include_deleted)]
 
+    def reattach_payloads(self, payloads: Sequence[Any]) -> list[int]:
+        """Give the live leaves ``payloads``, in document order, in bulk.
+
+        The inverse of ``payloads(include_deleted=False)`` for restored
+        trees whose image carried no payloads: one leaf walk and one
+        column write per leaf instead of a :meth:`set_payload` call each.
+        Returns the live leaf slots; raises ``ValueError`` (before
+        writing anything) when the counts differ.
+        """
+        slots = list(self.iter_leaves(include_deleted=False))
+        if len(slots) != len(payloads):
+            raise ValueError(f"{len(payloads)} payloads for "
+                             f"{len(slots)} live leaves")
+        column = self._payload
+        for slot, payload in zip(slots, payloads):
+            column[slot] = payload
+        return slots
+
     def leaf_at(self, index: int) -> int:
         """The ``index``-th leaf (0-based, counting deleted ones): O(h·f)."""
         if index < 0 or index >= self._leaf_count[self.root]:

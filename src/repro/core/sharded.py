@@ -90,6 +90,7 @@ import struct
 import sys
 import zlib
 from array import array
+from itertools import repeat
 from typing import Any, Iterator, Optional, Sequence
 
 from repro.core.compact import (_FLAG_HAS_PAYLOADS, _HEADER, CompactLTree,
@@ -840,6 +841,36 @@ class ShardedCompactLTree:
             shard.pending[slot] = payload
         else:
             shard.tree.set_payload(slot, payload)
+
+    def reattach_payloads(self, payloads: Sequence[Any]
+                          ) -> list[tuple[int, int]]:
+        """Give the live leaves ``payloads``, in document order, in bulk.
+
+        Shard by shard: a lazy shard buffers its run with one
+        ``pending.update`` (still without materializing), a
+        materialized arena takes its own bulk call — no per-handle
+        :meth:`set_payload` / forwarding round trip.  Returns the live
+        handles; raises ``ValueError`` (before writing anything) when
+        the counts differ.
+        """
+        d = self._dir
+        runs = [(sid, list(d.shards[sid].live_slots())) for sid in d.ids]
+        live = sum(len(slots) for _sid, slots in runs)
+        if live != len(payloads):
+            raise ValueError(f"{len(payloads)} payloads for {live} live "
+                             f"leaves")
+        handles: list[tuple[int, int]] = []
+        start = 0
+        for sid, slots in runs:
+            shard = d.shards[sid]
+            stop = start + len(slots)
+            if shard.is_lazy:
+                shard.pending.update(zip(slots, payloads[start:stop]))
+            else:
+                shard.tree.reattach_payloads(payloads[start:stop])
+            handles.extend(zip(repeat(sid), slots))
+            start = stop
+        return handles
 
     # ------------------------------------------------------------------
     # reads

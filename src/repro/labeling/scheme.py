@@ -56,15 +56,10 @@ from repro.order.compact_list import (CompactEngineLabeling,
 from repro.order.ltree_list import LTreeListLabeling
 from repro.order.registry import default_scheme
 from repro.order.sharded_list import ShardedListLabeling
-from repro.xml.model import (XMLCommentNode, XMLDocument, XMLElement,
-                             XMLInstructionNode, XMLNode, XMLTextNode)
+from repro.xml.model import (BEGIN, END, POINT, XMLDocument, XMLElement,
+                             XMLNode, XMLTextNode)
 from repro.xml.parser import parse
 from repro.xml.serializer import serialize
-
-#: token-kind markers used in scheme payloads
-BEGIN = "begin"
-END = "end"
-POINT = "point"  # text / comment / PI: a single list position
 
 #: on-store format version of a saved LabeledDocument (see ``save``)
 DOCUMENT_FORMAT_VERSION = 1
@@ -85,15 +80,28 @@ class _Handles:
         self.end = end
 
 
-def _emit_tokens(node: XMLNode) -> Iterator[tuple[str, XMLNode]]:
-    """(kind, node) pairs of a subtree in document-list order."""
-    if isinstance(node, XMLElement):
-        yield (BEGIN, node)
-        for child in node.children:
-            yield from _emit_tokens(child)
-        yield (END, node)
-    else:
-        yield (POINT, node)
+def _emit_tokens(node: XMLNode) -> list[tuple[str, XMLNode]]:
+    """(kind, node) pairs of a subtree in document-list order.
+
+    One explicit-stack pass (a pending ``(END, element)`` pair waits on
+    the stack below its element's children), so the cost per token is
+    flat whatever the depth.
+    """
+    pairs: list[tuple[str, XMLNode]] = []
+    append = pairs.append
+    stack: list[Any] = [node]
+    pop, push, extend = stack.pop, stack.append, stack.extend
+    while stack:
+        item = pop()
+        if item.__class__ is tuple:
+            append(item)
+        elif isinstance(item, XMLElement):
+            append((BEGIN, item))
+            push((END, item))
+            extend(reversed(item.children))
+        else:
+            append((POINT, item))
+    return pairs
 
 
 def _subtree_token_count(node: XMLNode) -> int:
@@ -195,7 +203,7 @@ class LabeledDocument:
         self._bulk_label()
 
     def _bulk_label(self) -> None:
-        pairs = list(_emit_tokens(self.document.root))
+        pairs = _emit_tokens(self.document.root)
         if getattr(self.scheme, "supports_partitioned_bulk", False):
             # shard-aligned bulk load: one contiguous run of top-level
             # children per arena, so a subtree edit writes one shard
@@ -211,10 +219,8 @@ class LabeledDocument:
     def _attach(pairs: list[tuple[str, XMLNode]],
                 handles: list[Any]) -> None:
         for (kind, node), handle in zip(pairs, handles):
-            if kind == BEGIN:
-                node.extra = _Handles(handle)
-            elif kind == END:
-                assert isinstance(node.extra, _Handles)
+            if kind == END:
+                # the begin pair, earlier in the list, made the holder
                 node.extra.end = handle
             else:
                 node.extra = _Handles(handle)
@@ -295,12 +301,17 @@ class LabeledDocument:
         never issues a per-node scheme lookup.
         """
         stack: list[tuple[XMLElement, int]] = [(self.document.root, 0)]
+        pop, push = stack.pop, stack.append
         while stack:
-            element, level = stack.pop()
-            handles = self._handles(element)
+            element, level = pop()
+            handles = element.extra
+            if handles.__class__ is not _Handles:
+                handles = self._handles(element)
             yield element, handles.begin, handles.end, level
-            for child in reversed(list(element.child_elements())):
-                stack.append((child, level + 1))
+            level += 1
+            for child in reversed(element.children):
+                if isinstance(child, XMLElement):
+                    push((child, level))
 
     # ------------------------------------------------------------------
     # label-only predicates (the queries labels exist for)
@@ -338,7 +349,7 @@ class LabeledDocument:
                 f"index {index} out of range 0..{len(parent.children)}")
         anchor = self._anchor_before(parent, index)
         parent.insert_child(index, subtree)
-        pairs = list(_emit_tokens(subtree))
+        pairs = _emit_tokens(subtree)
         handles = self.scheme.insert_run_after(
             anchor, pairs)
         self._attach(pairs, handles)
@@ -388,7 +399,8 @@ class LabeledDocument:
         """
         if node.parent is None:
             raise ValueError("cannot delete the document root")
-        for kind, member in _emit_tokens(node):
+        pairs = _emit_tokens(node)
+        for kind, member in pairs:
             handles = self._handles(member)
             if kind == BEGIN:
                 self.scheme.delete(handles.begin)
@@ -397,7 +409,7 @@ class LabeledDocument:
                     self.scheme.delete(handles.end)
             else:
                 self.scheme.delete(handles.begin)
-        for _, member in _emit_tokens(node):
+        for _, member in pairs:
             member.extra = None
         node.parent.remove_child(node)
         self._invalidate_labels()
@@ -469,45 +481,60 @@ class LabeledDocument:
             self._save_to(target)
 
     def _save_to(self, store: Any) -> None:
+        # everything that can reject the document — encoding, the
+        # round-trip check, the scheme type — runs before the first
+        # put_blob, so a refused save leaves the previous save intact
         scheme = self.scheme
         text = serialize(self.document)
+        try:
+            xml_blob = text.encode("utf-8")
+        except UnicodeEncodeError as error:
+            raise ParameterError(
+                f"document text is not encodable as UTF-8 "
+                f"({error.reason} at character {error.start}): "
+                f"{text[error.start:error.end]!r} cannot be saved") \
+                from error
         # fail *now* if the token stream cannot survive the XML round
         # trip (adjacent text nodes merge, empty text nodes vanish) —
         # otherwise save would succeed and open() would fail forever
-        live_kinds = [kind for kind, _ in
-                      _emit_tokens(self.document.root)]
-        reparsed_kinds = [kind for kind, _ in
-                          _emit_tokens(parse(text).root)]
-        if live_kinds != reparsed_kinds:
+        live = _emit_tokens(self.document.root)
+        reparsed: list[tuple[str, XMLNode]] = []
+        parse(text, order=reparsed)
+        if len(live) != len(reparsed) or any(
+                mine[0] != theirs[0]
+                for mine, theirs in zip(live, reparsed)):
             raise ParameterError(
                 f"document token stream does not survive an XML round "
-                f"trip ({len(live_kinds)} tokens serialize to "
-                f"{len(reparsed_kinds)}): adjacent or empty text nodes "
+                f"trip ({len(live)} tokens serialize to "
+                f"{len(reparsed)}): adjacent or empty text nodes "
                 f"cannot be re-labeled on open(); merge them first")
+        del live, reparsed  # drop the reparsed tree before writing
         if isinstance(scheme, ShardedListLabeling):
             # one LTREEARR blob span per shard plus a manifest; shards
             # still lazy from an earlier open() are copied
             # image-for-image without deserializing
             encoding = "sharded-bytes"
-            scheme.save(store, SCHEME_BLOB, include_payloads=False)
         elif isinstance(scheme, CompactListLabeling):
             encoding = "compact-bytes"
-            scheme.save(store, SCHEME_BLOB, include_payloads=False)
         elif isinstance(scheme, LTreeListLabeling):
             encoding = "label-snapshot"
-            data = snapshot(scheme.tree, include_payloads=False)
-            store.put_blob(SCHEME_BLOB,
-                           json.dumps(data).encode("utf-8"))
         else:
             raise TypeError(
                 f"save() supports the L-Tree schemes, got "
                 f"{scheme.name!r}")
-        store.put_blob(XML_BLOB, text.encode("utf-8"))
-        store.put_blob(META_BLOB, json.dumps({
+        meta_blob = json.dumps({
             "format": DOCUMENT_FORMAT_VERSION,
             "scheme": scheme.name,
             "encoding": encoding,
-        }).encode("utf-8"))
+        }).encode("utf-8")
+        if encoding == "label-snapshot":
+            data = snapshot(scheme.tree, include_payloads=False)
+            store.put_blob(SCHEME_BLOB,
+                           json.dumps(data).encode("utf-8"))
+        else:
+            scheme.save(store, SCHEME_BLOB, include_payloads=False)
+        store.put_blob(XML_BLOB, xml_blob)
+        store.put_blob(META_BLOB, meta_blob)
 
     @classmethod
     def open(cls, store: Any, stats: Counters = NULL_COUNTERS,
@@ -515,11 +542,16 @@ class LabeledDocument:
              concurrent: bool = False) -> "LabeledDocument":
         """Reopen a document saved by :meth:`save` — without relabeling.
 
-        The XML text is re-parsed and its token stream zipped against the
+        The XML text is re-parsed once; the tree builder records the
+        document-list ``(kind, node)`` order as it builds (no second
+        walk over the fresh tree), and that order is zipped against the
         restored scheme's live handles (same order by construction), so
-        every node gets back the *exact* label it held at save time;
-        nothing is re-bulk-loaded and future edits behave as if the
-        process had never stopped.
+        every node gets back the *exact* label it held at save time.
+        Handles are attached to the nodes in that one pass, and the
+        ``(kind, node)`` payloads go back to the engine in bulk — per
+        shard on ``ltree-sharded`` (buffered on still-lazy shards),
+        per arena on ``ltree-compact``.  Nothing is re-bulk-loaded and
+        future edits behave as if the process had never stopped.
 
         ``store`` may be a file *path*: the document then owns the
         opened :class:`~repro.storage.pages.PageStore` (kept on
@@ -549,12 +581,14 @@ class LabeledDocument:
                 raise ParameterError(
                     f"unsupported document format {meta.get('format')!r} "
                     f"(supported: {DOCUMENT_FORMAT_VERSION})")
-            document = parse(bytes(store.get_blob(XML_BLOB)).decode("utf-8"))
+            order: list[tuple[str, XMLNode]] = []
+            document = parse(bytes(store.get_blob(XML_BLOB)).decode("utf-8"),
+                             order=order)
             encoding = meta.get("encoding")
             if encoding == "compact-bytes":
                 scheme: OrderedLabeling = CompactListLabeling.load(
                     store, SCHEME_BLOB, stats=stats)
-                reattach = scheme.tree.set_payload
+                reattach = scheme.tree.reattach_payloads
             elif encoding == "sharded-bytes":
                 # shard-lazy: only the manifest and the per-shard live-leaf
                 # sidecars are decoded here; an arena is deserialized the
@@ -562,15 +596,18 @@ class LabeledDocument:
                 # is buffered on still-lazy shards)
                 scheme = ShardedListLabeling.load(store, SCHEME_BLOB,
                                                   stats=stats)
-                reattach = scheme.tree.set_payload
+                reattach = scheme.tree.reattach_payloads
             elif encoding == "label-snapshot":
                 data = json.loads(
                     bytes(store.get_blob(SCHEME_BLOB)).decode("utf-8"))
                 scheme = LTreeListLabeling._wrap(restore(data, stats=stats),
                                                  stats)
 
-                def reattach(handle: Any, payload: Any) -> None:
-                    handle.payload = payload
+                def reattach(payloads: list[Any]) -> list[Any]:
+                    handles = list(scheme.handles())
+                    for handle, payload in zip(handles, payloads):
+                        handle.payload = payload
+                    return handles
             else:
                 raise ParameterError(
                     f"unknown scheme encoding {encoding!r} in saved document")
@@ -586,15 +623,11 @@ class LabeledDocument:
             labeled._label_cache = None
             labeled.store = store if owns_store else None
             labeled._owns_store = owns_store
-            pairs = list(_emit_tokens(document.root))
-            handles = list(scheme.handles())
-            if len(pairs) != len(handles):
+            if len(order) != len(scheme):
                 raise ParameterError(
-                    f"document has {len(pairs)} tokens but the restored "
-                    f"scheme holds {len(handles)} live labels")
-            labeled._attach(pairs, handles)
-            for pair, handle in zip(pairs, handles):
-                reattach(handle, pair)
+                    f"document has {len(order)} tokens but the restored "
+                    f"scheme holds {len(scheme)} live labels")
+            labeled._attach(order, reattach(order))
             if concurrent:
                 from repro.concurrent.engine import ConcurrentLTree
                 scheme.tree = ConcurrentLTree(scheme.tree)

@@ -55,9 +55,8 @@ Backend discipline mirrors :mod:`repro.core.vectorized`: the numpy
 int64 path is used when the active backend is ``numpy`` and every
 label fits int64; otherwise a pure-Python ``array('q')``/``bisect``
 path computes the same passes (plain lists above int64, so results are
-always exact).  ``parallel=True`` evaluates the per-shard candidate
-segments of each pass concurrently — safe against a pinned snapshot,
-whose columns no writer can touch, so queries run lock-free under live
+always exact).  A pinned snapshot's columns are immune to writers, so
+queries run lock-free under live
 :class:`~repro.concurrent.engine.ConcurrentLTree` /
 :class:`~repro.concurrent.service.ConcurrentDocument` writers.
 
@@ -72,7 +71,7 @@ from __future__ import annotations
 import bisect
 import time
 from array import array
-from concurrent.futures import ThreadPoolExecutor
+from copy import copy
 from typing import Any, Iterable, Optional, Sequence
 
 from repro.core import vectorized
@@ -99,29 +98,91 @@ class _PinState:
     """What an incremental re-pin needs to splice instead of rebuild.
 
     Captured by ``from_snapshot``: the pinned epoch's per-shard write
-    versions and prefixes, each element's *resolved* begin/end handles,
-    and the element positions each shard's columns feed (``begin`` and
-    ``end`` separately — an element spanning shards, like the root,
-    draws its two labels from two different arenas).  Everything here
-    is keyed by position, and positions are DOM-stable, so a re-pin
-    only ever rewrites labels in place.
+    versions and prefixes, each element's *resolved* begin/end handles
+    as ``(shard id, slot)`` columns, and the element positions each
+    shard's columns feed (``begin`` and ``end`` separately — an element
+    spanning shards, like the root, draws its two labels from two
+    different arenas).  Columns and position groups are int64 arrays on
+    the numpy backend, ``array('q')`` / lists otherwise.  Everything
+    here is keyed by position, and positions are DOM-stable, so a
+    re-pin only ever rewrites labels in place.
     """
 
-    __slots__ = ("versions", "prefixes", "begin_handles", "end_handles",
-                 "begin_by_sid", "end_by_sid")
+    __slots__ = ("versions", "prefixes", "begin", "end", "begin_by_sid",
+                 "end_by_sid")
 
     def __init__(self, versions: dict[int, int],
                  prefixes: dict[int, int],
-                 begin_handles: list[tuple[int, int]],
-                 end_handles: list[tuple[int, int]],
-                 begin_by_sid: dict[int, list[int]],
-                 end_by_sid: dict[int, list[int]]):
+                 begin: "_HandleColumns", end: "_HandleColumns",
+                 begin_by_sid: dict[int, Any],
+                 end_by_sid: dict[int, Any]):
         self.versions = versions
         self.prefixes = prefixes
-        self.begin_handles = begin_handles
-        self.end_handles = end_handles
+        self.begin = begin
+        self.end = end
         self.begin_by_sid = begin_by_sid
         self.end_by_sid = end_by_sid
+
+
+class _HandleColumns:
+    """Resolved ``(shard id, slot)`` handles as two int columns."""
+
+    __slots__ = ("sids", "slots")
+
+    def __init__(self, sids: Any, slots: Any):
+        self.sids = sids
+        self.slots = slots
+
+    @classmethod
+    def of(cls, flat: array, snapshot: Any,
+           numpy: bool) -> "_HandleColumns":
+        """Columns of the handles ``flat`` holds as ``sid, slot, sid,
+        slot, ...``, resolved against ``snapshot``.
+
+        Only handles naming a shard outside the pinned membership go
+        through ``snapshot.resolve`` (its forwarding view); with no
+        rebalance since they were minted, that is none of them.
+        """
+        if numpy:
+            pairs = _np.frombuffer(flat, dtype=_np.int64).reshape(-1, 2)
+            columns = cls(pairs[:, 0].copy(), pairs[:, 1].copy())
+        else:
+            columns = cls(flat[0::2], flat[1::2])
+        resolve = getattr(snapshot, "resolve", None)
+        if resolve is not None:
+            pinned = set(snapshot.ids)
+            if numpy:
+                stale = _np.flatnonzero(~_np.isin(
+                    columns.sids, list(pinned))).tolist()
+            elif not pinned.issuperset(columns.sids):
+                stale = [position for position, sid
+                         in enumerate(columns.sids) if sid not in pinned]
+            else:
+                stale = []
+            columns.retarget(stale, resolve)
+        return columns
+
+    def copy(self) -> "_HandleColumns":
+        return _HandleColumns(copy(self.sids), copy(self.slots))
+
+    def retarget(self, positions: Iterable[int], resolve) -> None:
+        """Re-resolve the handles at ``positions`` in place (raises
+        ``ValueError`` on a broken forwarding chain)."""
+        sids, slots = self.sids, self.slots
+        for position in positions:
+            sids[position], slots[position] = resolve(
+                (int(sids[position]), int(slots[position])))
+
+    def by_sid(self, numpy: bool) -> dict[int, Any]:
+        """``shard id -> ascending positions`` whose handle it holds."""
+        if numpy:
+            sids = self.sids
+            return {sid: _np.flatnonzero(sids == sid)
+                    for sid in _np.unique(sids).tolist()}
+        groups: dict[int, list[int]] = {}
+        for position, sid in enumerate(self.sids):
+            groups.setdefault(sid, []).append(position)
+        return groups
 
 
 class ColumnarStore:
@@ -134,35 +195,43 @@ class ColumnarStore:
     order, so the ``begin`` column is strictly increasing and
     positions double as document-order ranks; contiguous runs of
     elements whose begin handle lives in the same shard form the
-    per-shard segments ``parallel`` evaluation fans out over.
+    per-shard segments listed in :attr:`shard_slices`.
     """
 
     def __init__(self, elements: list[XMLElement],
                  begins: list[int], ends: list[int], levels: list[int],
                  shard_slices: list[tuple[int, int]],
                  stats: Counters = NULL_COUNTERS):
+        max_label = max(ends, default=0)
+        if _use_numpy(max_label):
+            backend = "numpy"
+            begin = _np.asarray(begins, dtype=_np.int64)
+            end = _np.asarray(ends, dtype=_np.int64)
+            level = _np.asarray(levels, dtype=_np.int64)
+        elif max_label < _INT64_SAFE:
+            backend = "array"
+            begin, end = array("q", begins), array("q", ends)
+            level = array("q", levels)
+        else:
+            backend, begin, end, level = "array", begins, ends, levels
+        self._adopt(elements, backend, begin, end, level, shard_slices,
+                    stats)
+
+    def _adopt(self, elements: list[XMLElement], backend: str,
+               begin: Any, end: Any, level: Any,
+               shard_slices: list[tuple[int, int]],
+               stats: Counters) -> None:
+        """Install typed columns and build the per-tag index."""
         self.stats = stats
         self.elements = elements
-        max_label = max(ends, default=0)
-        self.backend = "numpy" if _use_numpy(max_label) else "array"
-        if self.backend == "numpy":
-            self._begin = _np.asarray(begins, dtype=_np.int64)
-            self._end = _np.asarray(ends, dtype=_np.int64)
-            self._level = _np.asarray(levels, dtype=_np.int64)
-        else:
-            kind = array if max_label < _INT64_SAFE else list
-            self._begin = kind("q", begins) if kind is array else begins
-            self._end = kind("q", ends) if kind is array else ends
-            self._level = array("q", levels) if kind is array else levels
+        self.backend = backend
+        self._begin, self._end, self._level = begin, end, level
         #: contiguous (start, stop) element-position ranges, one per
         #: shard that holds at least one element's begin handle
         self.shard_slices = shard_slices
-        by_tag: dict[str, list[int]] = {}
-        for position, element in enumerate(elements):
-            by_tag.setdefault(element.tag, []).append(position)
-        self._by_tag = {tag: self._positions(positions)
-                        for tag, positions in by_tag.items()}
-        self._all = self._positions(range(len(elements)))
+        self._by_tag = self._tag_index(elements)
+        self._all = _np.arange(len(elements), dtype=_np.int64) \
+            if backend == "numpy" else array("q", range(len(elements)))
         #: snapshot epoch this store was pinned against (None for
         #: from_labeled stores) — equal epochs mean identical columns
         self.pinned_epoch: Optional[tuple] = None
@@ -170,6 +239,27 @@ class ColumnarStore:
         #: (test, key, value) -> pre-filtered positions; DOM-stable, so
         #: shared unchanged across incremental re-pins
         self._predicate_cache: dict[tuple, Any] = {}
+
+    def _tag_index(self, elements: list[XMLElement]) -> dict[str, Any]:
+        """``tag -> ascending positions``; one stable sort of tag codes
+        on numpy."""
+        if self.backend != "numpy":
+            by_tag: dict[str, list[int]] = {}
+            for position, element in enumerate(elements):
+                by_tag.setdefault(element.tag, []).append(position)
+            return {tag: array("q", positions)
+                    for tag, positions in by_tag.items()}
+        codes: dict[str, int] = {}
+        tag_codes = _np.fromiter(
+            (codes.setdefault(element.tag, len(codes))
+             for element in elements),
+            dtype=_np.int64, count=len(elements))
+        ordered = _np.argsort(tag_codes, kind="stable")
+        stops = _np.cumsum(_np.bincount(tag_codes,
+                                        minlength=len(codes))).tolist()
+        starts = [0] + stops[:-1]
+        return {tag: ordered[starts[code]:stops[code]]
+                for tag, code in codes.items()}
 
     def _positions(self, values: Iterable[int]):
         if self.backend == "numpy":
@@ -236,18 +326,19 @@ class ColumnarStore:
                             ) -> "ColumnarStore":
         """Shred against a pinned label snapshot (lock-free inputs).
 
-        One structural DOM pass collects each element's ``(rank,
-        slot)`` handles; labels are then gathered off the snapshot's
-        frozen per-shard byte images through
+        One structural DOM pass collects each element's ``(shard id,
+        slot)`` handles into int columns; labels are then gathered off
+        the snapshot's frozen per-shard byte images through
         :meth:`~repro.concurrent.engine.LabelSnapshot.label_columns` —
-        one column decode per shard, composed with the pinned stride.
-        No locks are taken and the live engine is never consulted, so
-        the resulting store (and every query over it) is immune to
-        concurrent writers — including online shard rebalancing: the
-        snapshot is pinned against a directory epoch, document handles
-        minted before a pre-pin split/merge are resolved through the
-        snapshot's forwarding view, and a rebalance committing *after*
-        the pin changes nothing this store reads.  The *DOM* must be
+        one column decode per shard and, on numpy, one masked gather
+        plus a prefix add per shard.  No locks are taken and the live
+        engine is never consulted, so the resulting store (and every
+        query over it) is immune to concurrent writers — including
+        online shard rebalancing: the snapshot is pinned against a
+        directory epoch, document handles minted before a pre-pin
+        split/merge are resolved through the snapshot's forwarding
+        view, and a rebalance committing *after* the pin changes
+        nothing this store reads.  The *DOM* must be
         stable while queries run; engine-level writers (extra tokens,
         relabels, rebalances) are fine because the pin freezes every
         label this store reads.
@@ -265,56 +356,58 @@ class ColumnarStore:
             spliced = cls._splice_from(previous, snapshot, stats)
             if spliced is not None:
                 return spliced
+        # flat, untracked columns: the pass keeps no per-element tuple
+        # alive, so it adds no work for the cyclic collector
         elements: list[XMLElement] = []
-        begin_handles: list[tuple[int, int]] = []
-        end_handles: list[tuple[int, int]] = []
-        levels: list[int] = []
-        resolve = getattr(snapshot, "resolve", lambda handle: handle)
+        levels, begin_flat, end_flat = array("q"), array("q"), array("q")
+        add_element, add_level = elements.append, levels.append
+        add_begin, add_end = begin_flat.extend, end_flat.extend
         for element, begin_handle, end_handle, level in \
                 labeled.element_handles():
-            elements.append(element)
-            begin_handles.append(resolve(begin_handle))
-            end_handles.append(resolve(end_handle))
-            levels.append(level)
-        columns: dict[int, Sequence[int]] = {}
-
-        def column(shard_id: int) -> Sequence[int]:
-            cached = columns.get(shard_id)
-            if cached is None:
-                cached = columns[shard_id] = \
-                    snapshot.label_columns(shard_id)[1]
-            return cached
-
-        begins = _compose_labels(begin_handles, column,
-                                 snapshot.shard_prefix)
-        ends = _compose_labels(end_handles, column,
-                               snapshot.shard_prefix)
-        ids = [handle[0] for handle in begin_handles]
-        store = cls(elements, begins, ends, levels,
-                    _rank_slices(ids), stats)
-        store._remember_pin(snapshot, begin_handles, end_handles)
+            add_element(element)
+            add_level(level)
+            add_begin(begin_handle)
+            add_end(end_handle)
+        numpy = _np is not None and vectorized.get_backend() == "numpy"
+        begin = _HandleColumns.of(begin_flat, snapshot, numpy)
+        end = _HandleColumns.of(end_flat, snapshot, numpy)
+        columns = _ShardColumns(snapshot)
+        store = None
+        if numpy:
+            begin_gather = columns.gather_numpy(begin)
+            end_gather = columns.gather_numpy(end)
+            if begin_gather is not None and end_gather is not None:
+                begins, begin_by_sid = begin_gather
+                ends, end_by_sid = end_gather
+                store = cls.__new__(cls)
+                store._adopt(elements, "numpy", begins, ends,
+                             _np.frombuffer(levels, dtype=_np.int64),
+                             _rank_slices(begin.sids), stats)
+        if store is None:
+            # exact path: no numpy, or labels beyond int64 — the list
+            # constructor picks the representation
+            begin_by_sid, end_by_sid = begin.by_sid(numpy), \
+                end.by_sid(numpy)
+            store = cls(elements, columns.gather_exact(begin),
+                        columns.gather_exact(end), levels.tolist(),
+                        _rank_slices(begin.sids), stats)
+        store._remember_pin(snapshot, begin, end, begin_by_sid,
+                            end_by_sid)
         stats.shards_reextracted += len(columns)
         return store
 
-    def _remember_pin(self, snapshot: Any,
-                      begin_handles: list[tuple[int, int]],
-                      end_handles: list[tuple[int, int]]) -> None:
+    def _remember_pin(self, snapshot: Any, begin: _HandleColumns,
+                      end: _HandleColumns, begin_by_sid: dict[int, Any],
+                      end_by_sid: dict[int, Any]) -> None:
         """Capture the :class:`_PinState` a future re-pin splices from
         (skipped for snapshot-likes without a versioned epoch)."""
         epoch = getattr(snapshot, "epoch", None)
         if not isinstance(epoch, tuple) or not epoch:
             return
-        begin_by_sid: dict[int, list[int]] = {}
-        end_by_sid: dict[int, list[int]] = {}
-        for position, handle in enumerate(begin_handles):
-            begin_by_sid.setdefault(handle[0], []).append(position)
-        for position, handle in enumerate(end_handles):
-            end_by_sid.setdefault(handle[0], []).append(position)
         prefixes = {sid: snapshot.shard_prefix(sid)
                     for sid in set(begin_by_sid) | set(end_by_sid)}
         self.pinned_epoch = epoch
-        self._pin = _PinState(dict(epoch[1:]), prefixes,
-                              begin_handles, end_handles,
+        self._pin = _PinState(dict(epoch[1:]), prefixes, begin, end,
                               begin_by_sid, end_by_sid)
 
     @classmethod
@@ -347,6 +440,7 @@ class ColumnarStore:
                 isinstance(previous._begin, list):
             return None
 
+        numpy = backend == "numpy"
         touched = set(pin.begin_by_sid) | set(pin.end_by_sid)
         dirty: list[int] = []
         vanished: list[int] = []
@@ -365,95 +459,71 @@ class ColumnarStore:
             else:
                 dirty.append(sid)
 
-        columns: dict[int, Sequence[int]] = {}
-
-        def column(shard_id: int) -> Sequence[int]:
-            cached = columns.get(shard_id)
-            if cached is None:
-                cached = columns[shard_id] = \
-                    snapshot.label_columns(shard_id)[1]
-            return cached
-
-        if backend == "numpy":
+        columns = _ShardColumns(snapshot)
+        if numpy:
             begins, ends = previous._begin.copy(), previous._end.copy()
         else:
             begins = array("q", previous._begin)
             ends = array("q", previous._end)
-        if vanished:
-            begin_handles = list(pin.begin_handles)
-            end_handles = list(pin.end_handles)
-            begin_by_sid = {sid: list(positions) for sid, positions
-                            in pin.begin_by_sid.items()}
-            end_by_sid = {sid: list(positions) for sid, positions
-                          in pin.end_by_sid.items()}
-        else:
-            begin_handles, end_handles = \
-                pin.begin_handles, pin.end_handles
-            begin_by_sid, end_by_sid = pin.begin_by_sid, pin.end_by_sid
+        begin, end = pin.begin, pin.end
+        begin_by_sid, end_by_sid = pin.begin_by_sid, pin.end_by_sid
 
         spliced = 0
-        retargeted: set[int] = set()
         try:
             for sid in dirty:
                 prefix = prefixes[sid]
-                local = column(sid)
-                if backend == "numpy":
-                    # vectorized in-place gather; numpy would *wrap*
-                    # on int64 overflow instead of raising, so guard
-                    # the worst case explicitly and let the full
-                    # rebuild pick the exact representation
-                    if prefix + max(local, default=0) >= _INT64_SAFE:
+                if numpy:
+                    # vectorized in-place gather; numpy would *wrap* on
+                    # int64 overflow instead of raising, so a column
+                    # whose worst case could leave int64 is refused and
+                    # the full rebuild picks the exact representation
+                    local = columns.int64(sid)
+                    if local is None:
                         return None
-                    local_column = _np.asarray(local, dtype=_np.int64)
+                else:
+                    local = columns.raw(sid)
                 for by_sid, handles, out in (
-                        (begin_by_sid, begin_handles, begins),
-                        (end_by_sid, end_handles, ends)):
+                        (begin_by_sid, begin, begins),
+                        (end_by_sid, end, ends)):
                     positions = by_sid.get(sid)
-                    if not positions:
+                    if positions is None or not len(positions):
                         continue
-                    if backend == "numpy":
-                        slots = _np.fromiter(
-                            (handles[position][1]
-                             for position in positions),
-                            dtype=_np.int64, count=len(positions))
-                        out[_np.asarray(positions, dtype=_np.int64)] = \
-                            local_column[slots] + prefix
+                    slots = handles.slots
+                    if numpy:
+                        out[positions] = local[slots[positions]] + prefix
                     else:
                         for position in positions:
-                            out[position] = \
-                                prefix + local[handles[position][1]]
+                            out[position] = prefix + local[slots[position]]
                     spliced += 1
-            for sid in vanished:
+            if vanished:
+                # chase the vanished shards' handles through the
+                # snapshot's forwarding view, on copies of the columns
+                begin, end = begin.copy(), end.copy()
                 for by_sid, handles, out in (
-                        (begin_by_sid, begin_handles, begins),
-                        (end_by_sid, end_handles, ends)):
-                    positions = by_sid.pop(sid, None)
-                    if not positions:
-                        continue
-                    for position in positions:
+                        (begin_by_sid, begin, begins),
+                        (end_by_sid, end, ends)):
+                    for sid in vanished:
+                        positions = by_sid.get(sid)
+                        if positions is None or not len(positions):
+                            continue
+                        positions = [int(p) for p in positions]
                         try:
-                            target = snapshot.resolve(handles[position])
+                            handles.retarget(positions, snapshot.resolve)
                         except ValueError:
                             return None
-                        handles[position] = target
-                        tid = target[0]
-                        prefix = prefixes.get(tid)
-                        if prefix is None:
-                            prefix = prefixes[tid] = \
-                                snapshot.shard_prefix(tid)
-                        out[position] = prefix + column(tid)[target[1]]
-                        by_sid.setdefault(tid, []).append(position)
-                        retargeted.add(tid)
-                    spliced += 1
+                        for position in positions:
+                            tid = int(handles.sids[position])
+                            prefix = prefixes.get(tid)
+                            if prefix is None:
+                                prefix = prefixes[tid] = \
+                                    snapshot.shard_prefix(tid)
+                            out[position] = prefix + \
+                                columns.raw(tid)[handles.slots[position]]
+                        spliced += 1
+                begin_by_sid = begin.by_sid(numpy)
+                end_by_sid = end.by_sid(numpy)
         except OverflowError:
             return None
-        if retargeted:
-            # forwarding may interleave a vanished shard's positions
-            # into an existing segment's list: restore position order
-            for by_sid in (begin_by_sid, end_by_sid):
-                for tid in retargeted:
-                    if tid in by_sid:
-                        by_sid[tid].sort()
 
         store = cls.__new__(cls)
         store.stats = stats
@@ -462,15 +532,13 @@ class ColumnarStore:
         store._begin = begins
         store._end = ends
         store._level = previous._level
-        store.shard_slices = _rank_slices(
-            [handle[0] for handle in begin_handles]) if vanished \
+        store.shard_slices = _rank_slices(begin.sids) if vanished \
             else previous.shard_slices
         store._by_tag = previous._by_tag
         store._all = previous._all
         store._predicate_cache = previous._predicate_cache
         store.pinned_epoch = epoch
-        store._pin = _PinState(new_versions, prefixes,
-                               begin_handles, end_handles,
+        store._pin = _PinState(new_versions, prefixes, begin, end,
                                begin_by_sid, end_by_sid)
         stats.shards_reused += reused
         stats.shards_reextracted += len(columns)
@@ -532,8 +600,10 @@ class ColumnarStore:
             key, value = attribute
             elements = self.elements
             stats.tuple_reads += len(base)
+            # plain ints index the element list without boxing one
+            # numpy scalar per candidate
             positions = self._positions(
-                position for position in base
+                position for position in base.tolist()
                 if elements[position].attributes.get(key) == value)
             self._predicate_cache[cache_key] = positions
             base_count = len(base)
@@ -547,87 +617,101 @@ class ColumnarStore:
         return self.elements[position]
 
 
-def _rank_slices(ranks: list[int]) -> list[tuple[int, int]]:
+class _ShardColumns:
+    """One snapshot's per-shard label columns, each fetched once.
+
+    ``raw`` is the slot-indexed local column exactly as
+    ``label_columns`` returns it; ``int64`` is its numpy view, refused
+    (``None``) when ``prefix + column`` could leave int64 — numpy would
+    wrap silently instead of raising.
+    """
+
+    def __init__(self, snapshot: Any):
+        self.snapshot = snapshot
+        self._raw: dict[int, Sequence[int]] = {}
+        self._int64: dict[int, Any] = {}
+        self._prefix: dict[int, int] = {}
+
+    def __len__(self) -> int:
+        """Shards whose column has been extracted."""
+        return len(self._raw)
+
+    def prefix(self, shard_id: int) -> int:
+        prefix = self._prefix.get(shard_id)
+        if prefix is None:
+            prefix = self._prefix[shard_id] = \
+                self.snapshot.shard_prefix(shard_id)
+        return prefix
+
+    def raw(self, shard_id: int) -> Sequence[int]:
+        column = self._raw.get(shard_id)
+        if column is None:
+            column = self._raw[shard_id] = \
+                self.snapshot.label_columns(shard_id)[1]
+        return column
+
+    def int64(self, shard_id: int):
+        if shard_id not in self._int64:
+            try:
+                local = _np.asarray(self.raw(shard_id), dtype=_np.int64)
+            except OverflowError:
+                local = None
+            if local is not None and len(local) and \
+                    self.prefix(shard_id) + int(local.max()) >= _INT64_SAFE:
+                local = None
+            self._int64[shard_id] = local
+        return self._int64[shard_id]
+
+    def gather_numpy(self, handles: _HandleColumns):
+        """``(labels, shard id -> positions)`` by one masked gather and
+        prefix add per shard, or ``None`` when a shard's labels could
+        leave int64."""
+        sids, slots = handles.sids, handles.slots
+        labels = _np.empty(len(sids), dtype=_np.int64)
+        groups: dict[int, Any] = {}
+        for sid in _np.unique(sids).tolist():
+            local = self.int64(sid)
+            if local is None:
+                return None
+            positions = _np.flatnonzero(sids == sid)
+            labels[positions] = local[slots[positions]] + self.prefix(sid)
+            groups[sid] = positions
+        return labels, groups
+
+    def gather_exact(self, handles: _HandleColumns) -> list[int]:
+        """Labels as exact Python ints (any magnitude)."""
+        return [self.prefix(sid) + self.raw(sid)[slot]
+                for sid, slot in zip(handles.sids.tolist(),
+                                     handles.slots.tolist())]
+
+
+def _rank_slices(ranks: Sequence[int]) -> list[tuple[int, int]]:
     """Contiguous (start, stop) runs of equal shard rank.
 
     Document order sorts begin labels, and a shard's labels all precede
     the next shard's, so ranks are non-decreasing — the runs partition
     the position space.
     """
+    if _np is not None and isinstance(ranks, _np.ndarray):
+        if not len(ranks):
+            return []
+        cuts = (_np.flatnonzero(ranks[1:] != ranks[:-1]) + 1).tolist()
+        bounds = [0] + cuts + [len(ranks)]
+        return list(zip(bounds[:-1], bounds[1:]))
     slices: list[tuple[int, int]] = []
     start = 0
     for position in range(1, len(ranks)):
         if ranks[position] != ranks[start]:
             slices.append((start, position))
             start = position
-    if ranks:
+    if len(ranks):
         slices.append((start, len(ranks)))
     return slices
-
-
-def _compose_labels(handles: list[tuple[int, int]], column, prefix_of
-                    ) -> list[int]:
-    """Global labels of ``(shard_id, slot)`` handles via per-shard
-    columns; ``prefix_of(shard_id)`` supplies each shard's directory
-    prefix (position × stride), so composition works across rebalanced
-    directories where ids are not positions."""
-    if _np is not None and vectorized.get_backend() == "numpy" and handles:
-        ids = _np.asarray([handle[0] for handle in handles],
-                          dtype=_np.int64)
-        slots = _np.asarray([handle[1] for handle in handles],
-                            dtype=_np.int64)
-        out = _np.empty(len(handles), dtype=object)
-        exact = False
-        for sid in sorted(set(int(value) for value in _np.unique(ids))):
-            raw = column(sid)
-            mask = ids == sid
-            prefix = prefix_of(sid)
-            if prefix + max(raw, default=0) >= _INT64_SAFE:
-                exact = True
-                break
-            gathered = _np.asarray(raw, dtype=_np.int64)[slots[mask]]
-            out[mask] = gathered + prefix
-        if not exact:
-            return out.tolist()
-    return [prefix_of(handle[0]) + column(handle[0])[handle[1]]
-            for handle in handles]
 
 
 # ---------------------------------------------------------------------------
 # the vectorized axis-step passes
 # ---------------------------------------------------------------------------
-def _chunks(cand, shard_slices, parallel: bool):
-    """Split candidate positions into per-shard runs (or one run)."""
-    if not parallel or len(shard_slices) < 2 or len(cand) == 0:
-        return [cand]
-    out = []
-    if _np is not None and isinstance(cand, _np.ndarray):
-        bounds = _np.searchsorted(
-            cand, _np.asarray([stop for _, stop in shard_slices[:-1]]))
-        prev = 0
-        for bound in list(bounds) + [len(cand)]:
-            if bound > prev:
-                out.append(cand[prev:bound])
-            prev = bound
-        return out or [cand]
-    prev = 0
-    for _, stop in shard_slices[:-1]:
-        bound = bisect.bisect_left(cand, stop, prev)
-        if bound > prev:
-            out.append(cand[prev:bound])
-        prev = bound
-    if prev < len(cand):
-        out.append(cand[prev:])
-    return out or [cand]
-
-
-def _run_chunks(worker, chunks, parallel: bool):
-    if len(chunks) == 1 or not parallel:
-        return [worker(chunk) for chunk in chunks]
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        return list(pool.map(worker, chunks))
-
-
 def _prepare_context(store: ColumnarStore, context, child_axis: bool):
     """Sorted-context structures of one containment pass, hoisted.
 
@@ -635,11 +719,9 @@ def _prepare_context(store: ColumnarStore, context, child_axis: bool):
     prefix-maximum over its ends.  Child axis: the same pair per
     distinct context level (the level-adjacency predicate restricts
     each candidate level to the context subset one level up).  Built
-    once per step — *outside* the per-chunk workers, so
-    ``parallel=True`` fans out over a single shared preparation on
-    both backends instead of re-deriving it — and cacheable by a
-    :class:`QuerySession`, which reuses it across batched queries
-    whose next step starts from the same context.
+    once per step and cacheable by a :class:`QuerySession`, which
+    reuses it across batched queries whose next step starts from the
+    same context.
     """
     begin, end, level = store._begin, store._end, store._level
     if store.backend == "numpy":
@@ -672,7 +754,7 @@ def _prepare_context(store: ColumnarStore, context, child_axis: bool):
 
 
 def _match_step(store: ColumnarStore, context, cand, child_axis: bool,
-                stats: Counters, parallel: bool, prepared=None):
+                stats: Counters, prepared=None):
     """Candidate positions with a (suitably-leveled) context ancestor.
 
     One batch pass: context intervals sorted by begin, prefix-maximum
@@ -689,40 +771,28 @@ def _match_step(store: ColumnarStore, context, cand, child_axis: bool,
     if prepared is None:
         prepared = _prepare_context(store, context, child_axis)
     if store.backend == "numpy":
-        return _match_numpy(store, prepared, cand, child_axis, parallel)
-    return _match_python(store, prepared, cand, child_axis, parallel)
+        return _match_numpy(store, prepared, cand, child_axis)
+    return _match_python(store, prepared, cand, child_axis)
 
 
-def _match_numpy(store: ColumnarStore, prepared, cand, child_axis: bool,
-                 parallel: bool):
+def _match_numpy(store: ColumnarStore, prepared, cand, child_axis: bool):
     np = _np
     begin, end, level = store._begin, store._end, store._level
-    if child_axis:
-        by_parent_level = prepared
-
-        def worker(chunk):
-            mask = np.zeros(len(chunk), dtype=bool)
-            chunk_levels = level[chunk]
-            for child_level in np.unique(chunk_levels).tolist():
-                pair = by_parent_level.get(child_level - 1)
-                if pair is None:
-                    continue
-                sub = chunk_levels == child_level
-                mask[sub] = _exists_containing(
-                    pair[0], pair[1],
-                    begin[chunk[sub]], end[chunk[sub]])
-            return chunk[mask]
-    else:
+    if not child_axis:
         ctx_begin, ctx_maxend = prepared
-
-        def worker(chunk):
-            mask = _exists_containing(ctx_begin, ctx_maxend,
-                                      begin[chunk], end[chunk])
-            return chunk[mask]
-
-    parts = _run_chunks(worker, _chunks(cand, store.shard_slices,
-                                        parallel), parallel)
-    return np.concatenate(parts) if len(parts) > 1 else parts[0]
+        return cand[_exists_containing(ctx_begin, ctx_maxend,
+                                       begin[cand], end[cand])]
+    by_parent_level = prepared
+    mask = np.zeros(len(cand), dtype=bool)
+    cand_levels = level[cand]
+    for child_level in np.unique(cand_levels).tolist():
+        pair = by_parent_level.get(child_level - 1)
+        if pair is None:
+            continue
+        sub = cand_levels == child_level
+        mask[sub] = _exists_containing(pair[0], pair[1],
+                                       begin[cand[sub]], end[cand[sub]])
+    return cand[mask]
 
 
 def _exists_containing(ctx_begin, ctx_maxend, d_begin, d_end):
@@ -741,8 +811,7 @@ def _exists_containing(ctx_begin, ctx_maxend, d_begin, d_end):
     return ok
 
 
-def _match_python(store: ColumnarStore, prepared, cand, child_axis: bool,
-                  parallel: bool):
+def _match_python(store: ColumnarStore, prepared, cand, child_axis: bool):
     begin, end, level = store._begin, store._end, store._level
     if child_axis:
         by_parent_level = prepared
@@ -760,15 +829,8 @@ def _match_python(store: ColumnarStore, prepared, cand, child_axis: bool,
             idx = bisect.bisect_left(ctx_begin, begin[position]) - 1
             return idx >= 0 and ctx_maxend[idx] > end[position]
 
-    def worker(chunk):
-        return [position for position in chunk if contains(position)]
-
-    parts = _run_chunks(worker, _chunks(cand, store.shard_slices,
-                                        parallel), parallel)
-    merged: list[int] = []
-    for part in parts:
-        merged.extend(part)
-    return store._positions(merged)
+    return store._positions(position for position in cand
+                            if contains(position))
 
 
 # ---------------------------------------------------------------------------
@@ -788,8 +850,7 @@ def _first_step_positions(store: ColumnarStore, step: Step,
 
 
 def evaluate_columnar(store: Any, query: XPathQuery,
-                      stats: Counters = NULL_COUNTERS,
-                      parallel: bool = False) -> list[XMLElement]:
+                      stats: Counters = NULL_COUNTERS) -> list[XMLElement]:
     """Batch range-intersection XPath evaluation (module docstring).
 
     ``store`` is a :class:`ColumnarStore` — or an
@@ -801,10 +862,8 @@ def evaluate_columnar(store: Any, query: XPathQuery,
     Attribute predicates are pushed down into candidate generation
     (filtered before the containment join — commutative with the
     post-filter plan, because the predicate reads only the element).
-    ``parallel=True`` fans each step's candidate pass out over the
-    store's per-shard segments.  For a *batch* of queries against one
-    store, prefer a :class:`QuerySession`, which shares work between
-    them.
+    For a *batch* of queries against one store, prefer a
+    :class:`QuerySession`, which shares work between them.
     """
     if not isinstance(store, ColumnarStore):
         store = store.columnar()
@@ -818,7 +877,7 @@ def evaluate_columnar(store: Any, query: XPathQuery,
         cand = store.predicate_positions(step.test, step.attribute,
                                          stats)
         positions = _match_step(store, positions, cand,
-                                step.axis == CHILD, stats, parallel)
+                                step.axis == CHILD, stats)
         if obs:
             METRICS.observe("query.step.seconds",
                             time.perf_counter() - t0)
@@ -847,13 +906,11 @@ class QuerySession:
     survive into the next pin.
     """
 
-    def __init__(self, store: Any, stats: Counters = NULL_COUNTERS,
-                 parallel: bool = False):
+    def __init__(self, store: Any, stats: Counters = NULL_COUNTERS):
         if not isinstance(store, ColumnarStore):
             store = store.columnar()
         self.store = store
         self.stats = stats
-        self.parallel = parallel
         #: session memo traffic — hits are steps served from the cache,
         #: misses computed ones; :meth:`memo_hit_ratio` is the headline
         self.step_hits = 0
@@ -891,7 +948,6 @@ class QuerySession:
                     step.test, step.attribute, stats)
                 positions = _match_step(
                     store, positions, cand, step.axis == CHILD, stats,
-                    self.parallel,
                     prepared=self._prepare(positions,
                                            step.axis == CHILD))
             if obs:
@@ -928,8 +984,7 @@ class QuerySession:
 
 
 def evaluate_batch(store: Any, queries: Sequence[XPathQuery],
-                   stats: Counters = NULL_COUNTERS,
-                   parallel: bool = False) -> list[list[XMLElement]]:
+                   stats: Counters = NULL_COUNTERS) -> list[list[XMLElement]]:
     """One-shot :class:`QuerySession` over ``queries`` (result order
     matches input order; each result list is in document order)."""
-    return QuerySession(store, stats, parallel).evaluate_batch(queries)
+    return QuerySession(store, stats).evaluate_batch(queries)

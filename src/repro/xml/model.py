@@ -8,6 +8,10 @@ paper's labels must preserve — is the depth-first, begin-tag order of
 The model round-trips with the tokenizer: :func:`build_document` consumes
 the token stream of :mod:`repro.xml.parser` and
 :meth:`XMLDocument.tokens` reproduces it (modulo the XML declaration).
+The builder can also record the root's *document list* — the
+``(kind, node)`` pairs, one per begin tag, end tag and text section, that
+the labeling layer numbers — as it builds, so a reader that labels a
+freshly parsed document never walks the tree a second time.
 """
 
 from __future__ import annotations
@@ -16,6 +20,12 @@ from typing import Any, Iterable, Iterator, Optional
 
 from repro.errors import XMLSyntaxError
 from repro.xml import tokens as T
+
+#: document-list kinds: an element's begin and end tag, and the single
+#: list position of a text, comment or PI node
+BEGIN = "begin"
+END = "end"
+POINT = "point"
 
 
 class XMLNode:
@@ -58,7 +68,9 @@ class XMLElement(XMLNode):
 
     def __init__(self, tag: str,
                  attributes: Iterable[tuple[str, str]] = ()):
-        super().__init__()
+        # XMLNode.__init__ inlined: elements are the bulk of a parse
+        self.parent = None
+        self.extra = None
         self.tag = tag
         self.attributes: dict[str, str] = dict(attributes)
         self.children: list[XMLNode] = []
@@ -228,8 +240,15 @@ def _place_misc(node: XMLNode, stack: list[XMLElement],
         epilog.append(node)
 
 
-def build_document(token_stream: Iterable[T.Token]) -> XMLDocument:
+def build_document(token_stream: Iterable[T.Token],
+                   order: Optional[list[tuple[str, XMLNode]]] = None
+                   ) -> XMLDocument:
     """Assemble a document from a token stream (parser back-end).
+
+    ``order``, when given, receives one ``(kind, node)`` pair per token
+    inside the root element, in document order — ``(BEGIN, element)``,
+    ``(END, element)`` or ``(POINT, node)`` for text, comments and PIs —
+    i.e. the root's document list, recorded while building.
 
     Raises :class:`XMLSyntaxError` on mismatched or missing tags, multiple
     roots, or content outside the root other than comments/PIs/whitespace.
@@ -238,18 +257,23 @@ def build_document(token_stream: Iterable[T.Token]) -> XMLDocument:
     epilog: list[XMLNode] = []
     root: Optional[XMLElement] = None
     stack: list[XMLElement] = []
+    record = order.append if order is not None else None
 
     for token in token_stream:
         if isinstance(token, T.StartTag):
             element = XMLElement(token.name, token.attributes)
             if stack:
-                stack[-1].append_child(element)
+                parent = stack[-1]
+                element.parent = parent
+                parent.children.append(element)
             elif root is None:
                 root = element
             else:
                 raise XMLSyntaxError(
                     f"second root element <{token.name}>")
             stack.append(element)
+            if record is not None:
+                record((BEGIN, element))
         elif isinstance(token, T.EndTag):
             if not stack:
                 raise XMLSyntaxError(f"unexpected </{token.name}>")
@@ -258,21 +282,29 @@ def build_document(token_stream: Iterable[T.Token]) -> XMLDocument:
                 raise XMLSyntaxError(
                     f"mismatched </{token.name}>, expected "
                     f"</{open_element.tag}>")
+            if record is not None:
+                record((END, open_element))
         elif isinstance(token, T.Text):
-            node = XMLTextNode(token.content)
             if stack:
-                stack[-1].append_child(node)
+                node = XMLTextNode(token.content)
+                parent = stack[-1]
+                node.parent = parent
+                parent.children.append(node)
+                if record is not None:
+                    record((POINT, node))
             elif token.content.strip():
                 raise XMLSyntaxError("text outside the root element")
             # whitespace-only text outside the root is dropped
-        elif isinstance(token, T.Comment):
-            _place_misc(XMLCommentNode(token.content), stack, root,
-                        prolog, epilog)
-        elif isinstance(token, T.Instruction):
-            _place_misc(XMLInstructionNode(token.target, token.content),
-                        stack, root, prolog, epilog)
-        else:  # pragma: no cover - token model is closed
-            raise TypeError(f"unknown token {token!r}")
+        else:
+            if isinstance(token, T.Comment):
+                node = XMLCommentNode(token.content)
+            elif isinstance(token, T.Instruction):
+                node = XMLInstructionNode(token.target, token.content)
+            else:  # pragma: no cover - token model is closed
+                raise TypeError(f"unknown token {token!r}")
+            _place_misc(node, stack, root, prolog, epilog)
+            if stack and record is not None:
+                record((POINT, node))
 
     if stack:
         raise XMLSyntaxError(f"unclosed element <{stack[-1].tag}>")

@@ -6,18 +6,39 @@ substrates):
 
 * elements with attributes (single- or double-quoted), self-closing tags;
 * character data with the five predefined entities plus decimal and
-  hexadecimal character references;
+  hexadecimal character references (which must name an XML 1.0
+  ``Char``: ``#x9 | #xA | #xD | [#x20-#xD7FF] | [#xE000-#xFFFD] |
+  [#x10000-#x10FFFF]``);
 * CDATA sections, comments, processing instructions;
-* an XML declaration and a (non-validating, skipped) DOCTYPE.
+* an XML declaration and a (non-validating, skipped) DOCTYPE, whose
+  quoted literals may hold ``>``, ``[`` and ``]``.
 
-The tokenizer is a single left-to-right scan producing
-:mod:`repro.xml.tokens` values; :func:`parse` feeds them to the tree
-builder in :mod:`repro.xml.model`.  Errors carry line/column positions.
+The tokenizer is one left-to-right scan driven by compiled regular
+expressions: a single match consumes a whole start tag (name, every
+attribute and the optional ``/``), one an end tag, and character data
+runs up to the next ``<``.  Comments, CDATA sections, processing
+instructions and the DOCTYPE are rare and keep small dedicated helpers.
+The lexical rules are exact and shared by every path:
+
+* whitespace inside tags is exactly ``" \\t\\r\\n"``;
+* a name starts with a character for which ``str.isalpha()`` holds, or
+  with ``_`` or ``:``, and continues with ``str.isalnum()`` characters
+  or ``_:.-`` (the regex class ``[\\w:.-]`` is exactly that set; the
+  start rule is checked on the matched name's first character);
+* attributes need not be separated by whitespace after a closing quote,
+  duplicates are rejected, and values are entity-decoded.
+
+A tag the regex rejects is re-read piece by piece only to locate the
+error, so every :class:`~repro.errors.XMLSyntaxError` carries the same
+message, offset, line and column as a character-by-character reading.
+:func:`parse` feeds the tokens to the tree builder in
+:mod:`repro.xml.model`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import re
+from typing import Any, Iterator, Optional
 
 from repro.errors import XMLSyntaxError
 from repro.xml.tokens import Comment, EndTag, Instruction, StartTag, Text
@@ -31,69 +52,60 @@ _PREDEFINED_ENTITIES = {
 }
 
 _NAME_START_EXTRAS = "_:"
-_NAME_EXTRAS = "_:.-"
+
+_WS = r"[ \t\r\n]*+"
+_NAME = r"[\w:][\w:.\-]*+"
+_ATTRIBUTE_BODY = rf"{_WS}({_NAME}){_WS}={_WS}(?:\"([^\"]*)\"|'([^']*)')"
+
+_NAME_RE = re.compile(_NAME)
+_WS_RE = re.compile(_WS)
+#: one attribute: (key, double-quoted value, single-quoted value)
+_ATTRIBUTE = re.compile(_ATTRIBUTE_BODY)
+#: a whole start tag: (name, attribute run, "/" or "")
+_START_TAG = re.compile(
+    rf"<({_NAME})((?:{_WS}{_NAME}{_WS}={_WS}(?:\"[^\"]*\"|'[^']*'))*+)"
+    rf"{_WS}(/?)>")
+_END_TAG = re.compile(rf"</({_NAME}){_WS}>")
 
 
 def _is_name_start(char: str) -> bool:
     return char.isalpha() or char in _NAME_START_EXTRAS
 
 
-def _is_name_char(char: str) -> bool:
-    return char.isalnum() or char in _NAME_EXTRAS
+def _error(text: str, position: int, message: str) -> XMLSyntaxError:
+    """An error at ``position`` with its 1-based line and column."""
+    consumed = text[:position]
+    line = consumed.count("\n") + 1
+    column = position - consumed.rfind("\n")
+    return XMLSyntaxError(message, position=position, line=line,
+                          column=column)
 
 
-class _Scanner:
-    """Cursor over the input with line/column tracking."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.position = 0
-
-    def eof(self) -> bool:
-        return self.position >= len(self.text)
-
-    def peek(self) -> str:
-        if self.eof():
-            return ""
-        return self.text[self.position]
-
-    def advance(self, count: int = 1) -> None:
-        self.position += count
-
-    def starts_with(self, prefix: str) -> bool:
-        return self.text.startswith(prefix, self.position)
-
-    def find(self, needle: str) -> int:
-        return self.text.find(needle, self.position)
-
-    def location(self) -> tuple[int, int]:
-        """(line, column), both 1-based, of the current position."""
-        consumed = self.text[:self.position]
-        line = consumed.count("\n") + 1
-        column = self.position - consumed.rfind("\n")
-        return line, column
-
-    def error(self, message: str) -> XMLSyntaxError:
-        line, column = self.location()
-        return XMLSyntaxError(message, position=self.position,
-                              line=line, column=column)
-
-    def skip_whitespace(self) -> None:
-        while not self.eof() and self.peek() in " \t\r\n":
-            self.advance()
-
-    def read_name(self) -> str:
-        start = self.position
-        if self.eof() or not _is_name_start(self.peek()):
-            raise self.error("expected a name")
-        self.advance()
-        while not self.eof() and _is_name_char(self.peek()):
-            self.advance()
-        return self.text[start:self.position]
+def _read_name(text: str, position: int) -> str:
+    match = _NAME_RE.match(text, position)
+    if match is None or not _is_name_start(text[position]):
+        raise _error(text, position, "expected a name")
+    return match.group()
 
 
-def decode_entities(raw: str, scanner: _Scanner | None = None) -> str:
-    """Expand ``&name;``, ``&#dd;`` and ``&#xhh;`` references in ``raw``."""
+def _skip_whitespace(text: str, position: int) -> int:
+    return _WS_RE.match(text, position).end()
+
+
+def _is_xml_char(code: int) -> bool:
+    """XML 1.0 ``Char`` production."""
+    return (0x20 <= code <= 0xD7FF or code in (0x9, 0xA, 0xD)
+            or 0xE000 <= code <= 0xFFFD or 0x10000 <= code <= 0x10FFFF)
+
+
+def decode_entities(raw: str, text: Optional[str] = None,
+                    position: int = 0) -> str:
+    """Expand ``&name;``, ``&#dd;`` and ``&#xhh;`` references in ``raw``.
+
+    Errors are positioned at ``position`` of ``text`` when the caller
+    passes the document ``text`` ``raw`` was cut from, unpositioned
+    otherwise.
+    """
     if "&" not in raw:
         return raw
     pieces: list[str] = []
@@ -106,30 +118,38 @@ def decode_entities(raw: str, scanner: _Scanner | None = None) -> str:
         pieces.append(raw[index:amp])
         semi = raw.find(";", amp + 1)
         if semi < 0:
-            message = "unterminated entity reference"
-            raise scanner.error(message) if scanner else XMLSyntaxError(
-                message)
-        entity = raw[amp + 1:semi]
-        pieces.append(_decode_entity(entity, scanner))
+            raise _entity_error("unterminated entity reference", text,
+                                position)
+        pieces.append(_decode_entity(raw[amp + 1:semi], text, position))
         index = semi + 1
     return "".join(pieces)
 
 
-def _decode_entity(entity: str, scanner: _Scanner | None) -> str:
+def _entity_error(message: str, text: Optional[str],
+                  position: int) -> XMLSyntaxError:
+    if text is None:
+        return XMLSyntaxError(message)
+    return _error(text, position, message)
+
+
+def _decode_entity(entity: str, text: Optional[str], position: int) -> str:
     if entity in _PREDEFINED_ENTITIES:
         return _PREDEFINED_ENTITIES[entity]
-    if entity.startswith("#x") or entity.startswith("#X"):
-        try:
-            return chr(int(entity[2:], 16))
-        except ValueError:
-            pass
-    elif entity.startswith("#"):
-        try:
-            return chr(int(entity[1:]))
-        except ValueError:
-            pass
-    message = f"unknown entity &{entity};"
-    raise scanner.error(message) if scanner else XMLSyntaxError(message)
+    code = -1
+    try:
+        if entity.startswith("#x") or entity.startswith("#X"):
+            code = int(entity[2:], 16)
+        elif entity.startswith("#"):
+            code = int(entity[1:])
+    except ValueError:
+        pass
+    if 0 <= code <= 0x10FFFF:
+        if not _is_xml_char(code):
+            raise _entity_error(
+                f"character reference &{entity}; is not an XML "
+                f"character", text, position)
+        return chr(code)
+    raise _entity_error(f"unknown entity &{entity};", text, position)
 
 
 def tokenize(text: str) -> Iterator[StartTag | EndTag | Text | Comment |
@@ -140,140 +160,204 @@ def tokenize(text: str) -> Iterator[StartTag | EndTag | Text | Comment |
     matching ``EndTag`` — the element still occupies two label slots, as
     the L-Tree labeling requires.
     """
-    scanner = _Scanner(text)
-    while not scanner.eof():
-        if scanner.peek() != "<":
-            yield from _scan_text(scanner)
+    start_tag = _START_TAG.match
+    end_tag = _END_TAG.match
+    find = text.find
+    length = len(text)
+    position = 0
+    while position < length:
+        if text[position] != "<":
+            stop = find("<", position)
+            if stop < 0:
+                stop = length
+            raw = text[position:stop]
+            position = stop
+            yield Text(decode_entities(raw, text, stop) if "&" in raw
+                       else raw)
             continue
-        if scanner.starts_with("<!--"):
-            yield _scan_comment(scanner)
-        elif scanner.starts_with("<![CDATA["):
-            yield _scan_cdata(scanner)
-        elif scanner.starts_with("<!DOCTYPE"):
-            _skip_doctype(scanner)
-        elif scanner.starts_with("<?"):
-            token = _scan_instruction(scanner)
-            if token is not None:
-                yield token
-        elif scanner.starts_with("</"):
-            yield _scan_end_tag(scanner)
+        match = start_tag(text, position)
+        if match is not None:
+            name = match.group(1)
+            if not (name[0].isalpha() or name[0] in _NAME_START_EXTRAS):
+                raise _error(text, position + 1, "expected a name")
+            # the attribute run is decoded in place, never copied out
+            start, stop = match.span(2)
+            attributes = _attributes(text, start, stop, set()) \
+                if stop > start else ()
+            position = match.end()
+            yield StartTag(name, attributes)
+            if match.group(3):
+                yield EndTag(name)
+            continue
+        match = end_tag(text, position)
+        if match is not None:
+            name = match.group(1)
+            if not (name[0].isalpha() or name[0] in _NAME_START_EXTRAS):
+                raise _error(text, position + 2, "expected a name")
+            position = match.end()
+            yield EndTag(name)
+            continue
+        if text.startswith("<!--", position):
+            token, position = _scan_comment(text, position)
+        elif text.startswith("<![CDATA[", position):
+            token, position = _scan_cdata(text, position)
+        elif text.startswith("<!DOCTYPE", position):
+            token, position = None, _skip_doctype(text, position)
+        elif text.startswith("<?", position):
+            token, position = _scan_instruction(text, position)
+        elif text.startswith("</", position):
+            raise _end_tag_error(text, position)
         else:
-            yield from _scan_start_tag(scanner)
+            raise _start_tag_error(text, position)
+        if token is not None:
+            yield token
 
 
-def _scan_text(scanner: _Scanner) -> Iterator[Text]:
-    start = scanner.position
-    next_tag = scanner.find("<")
-    if next_tag < 0:
-        next_tag = len(scanner.text)
-    raw = scanner.text[start:next_tag]
-    scanner.advance(next_tag - start)
-    content = decode_entities(raw, scanner)
-    if content:
-        yield Text(content)
+def _attributes(text: str, start: int, stop: int, seen: set[str]
+                ) -> tuple[tuple[str, str], ...]:
+    """Decode the attributes of ``text[start:stop]`` (well-formed by
+    construction), applying the name, duplicate and entity checks in
+    document order."""
+    attributes = []
+    for attribute in _ATTRIBUTE.finditer(text, start, stop):
+        key, double, single = attribute.groups()
+        _check_key(text, attribute.start(1), key, seen)
+        raw = double if double is not None else single
+        attributes.append((key, decode_entities(raw, text, attribute.end())
+                           if "&" in raw else raw))
+    return tuple(attributes)
 
 
-def _scan_comment(scanner: _Scanner) -> Comment:
-    scanner.advance(len("<!--"))
-    end = scanner.find("-->")
+def _check_key(text: str, position: int, key: str, seen: set[str]) -> None:
+    if not _is_name_start(key[0]):
+        raise _error(text, position, "expected a name")
+    if key in seen:
+        raise _error(text, position + len(key),
+                     f"duplicate attribute {key!r}")
+    seen.add(key)
+
+
+def _start_tag_error(text: str, position: int) -> XMLSyntaxError:
+    """Locate the first error of a start tag :data:`_START_TAG` rejected.
+
+    Re-reads the tag the way a character-by-character scan would:
+    every well-formed attribute before the fault still gets its name,
+    duplicate and entity checks, so the reported error is the first one
+    in document order.
+    """
+    position += 1
+    name = _read_name(text, position)
+    position += len(name)
+    seen: set[str] = set()
+    while True:
+        attribute = _ATTRIBUTE.match(text, position)
+        if attribute is None:
+            break
+        _attributes(text, position, attribute.end(), seen)
+        position = attribute.end()
+    # the next attribute is malformed (a closing ">" or "/>" here would
+    # have let the whole-tag match succeed)
+    position = _skip_whitespace(text, position)
+    if position >= len(text):
+        return _error(text, position, f"unterminated start tag <{name}")
+    key = _read_name(text, position)
+    _check_key(text, position, key, seen)
+    position = _skip_whitespace(text, position + len(key))
+    if not text.startswith("=", position):
+        return _error(text, position, f"attribute {key!r} lacks '='")
+    position = _skip_whitespace(text, position + 1)
+    if position >= len(text):
+        # the opening quote is missing at end of input: the value runs
+        # past it
+        return _error(text, position + 1,
+                      f"unterminated value for {key!r}")
+    if text[position] not in "'\"":
+        return _error(text, position,
+                      f"attribute {key!r} value is not quoted")
+    return _error(text, position + 1, f"unterminated value for {key!r}")
+
+
+def _end_tag_error(text: str, position: int) -> XMLSyntaxError:
+    """Locate the error of an end tag :data:`_END_TAG` rejected."""
+    position += len("</")
+    name = _read_name(text, position)
+    position = _skip_whitespace(text, position + len(name))
+    return _error(text, position, f"malformed end tag </{name}")
+
+
+def _scan_comment(text: str, position: int) -> tuple[Comment, int]:
+    position += len("<!--")
+    end = text.find("-->", position)
     if end < 0:
-        raise scanner.error("unterminated comment")
-    content = scanner.text[scanner.position:end]
-    scanner.position = end + len("-->")
-    return Comment(content)
+        raise _error(text, position, "unterminated comment")
+    return Comment(text[position:end]), end + len("-->")
 
 
-def _scan_cdata(scanner: _Scanner) -> Text:
-    scanner.advance(len("<![CDATA["))
-    end = scanner.find("]]>")
+def _scan_cdata(text: str, position: int) -> tuple[Text, int]:
+    position += len("<![CDATA[")
+    end = text.find("]]>", position)
     if end < 0:
-        raise scanner.error("unterminated CDATA section")
-    content = scanner.text[scanner.position:end]
-    scanner.position = end + len("]]>")
-    return Text(content)
+        raise _error(text, position, "unterminated CDATA section")
+    return Text(text[position:end]), end + len("]]>")
 
 
-def _skip_doctype(scanner: _Scanner) -> None:
-    """Skip a DOCTYPE, balancing an optional internal subset."""
-    scanner.advance(len("<!DOCTYPE"))
+def _skip_doctype(text: str, position: int) -> int:
+    """Skip a DOCTYPE, balancing an optional internal subset.
+
+    Quoted literals (system and public identifiers, entity values) are
+    skipped whole, as are comments and processing instructions inside
+    the internal subset, so a ``>``, ``[`` or ``]`` inside them — or an
+    apostrophe in a subset comment — neither ends the DOCTYPE nor
+    unbalances it.
+    """
+    position += len("<!DOCTYPE")
     depth = 0
-    while not scanner.eof():
-        char = scanner.peek()
+    length = len(text)
+    while position < length:
+        char = text[position]
         if char == "[":
             depth += 1
         elif char == "]":
             depth -= 1
         elif char == ">" and depth == 0:
-            scanner.advance()
-            return
-        scanner.advance()
-    raise scanner.error("unterminated DOCTYPE")
+            return position + 1
+        elif char in "'\"":
+            position = text.find(char, position + 1)
+            if position < 0:
+                break
+        elif depth > 0 and text.startswith("<!--", position):
+            position = text.find("-->", position + 4) + 2
+            if position < 2:
+                break
+        elif depth > 0 and text.startswith("<?", position):
+            position = text.find("?>", position + 2) + 1
+            if position < 1:
+                break
+        position += 1
+    raise _error(text, length, "unterminated DOCTYPE")
 
 
-def _scan_instruction(scanner: _Scanner) -> Instruction | None:
-    scanner.advance(len("<?"))
-    target = scanner.read_name()
-    end = scanner.find("?>")
+def _scan_instruction(text: str, position: int
+                      ) -> tuple[Optional[Instruction], int]:
+    position += len("<?")
+    target = _read_name(text, position)
+    position += len(target)
+    end = text.find("?>", position)
     if end < 0:
-        raise scanner.error("unterminated processing instruction")
-    content = scanner.text[scanner.position:end].strip()
-    scanner.position = end + len("?>")
+        raise _error(text, position, "unterminated processing instruction")
+    content = text[position:end].strip()
     if target.lower() == "xml":
-        return None  # XML declaration: consumed, not part of the document
-    return Instruction(target, content)
+        # XML declaration: consumed, not part of the document
+        return None, end + len("?>")
+    return Instruction(target, content), end + len("?>")
 
 
-def _scan_end_tag(scanner: _Scanner) -> EndTag:
-    scanner.advance(len("</"))
-    name = scanner.read_name()
-    scanner.skip_whitespace()
-    if scanner.peek() != ">":
-        raise scanner.error(f"malformed end tag </{name}")
-    scanner.advance()
-    return EndTag(name)
+def parse(text: str, order: Optional[list[tuple[str, Any]]] = None):
+    """Parse ``text`` into an :class:`repro.xml.model.XMLDocument`.
 
-
-def _scan_start_tag(scanner: _Scanner) -> Iterator[StartTag | EndTag]:
-    scanner.advance(1)  # consume "<"
-    name = scanner.read_name()
-    attributes: list[tuple[str, str]] = []
-    seen: set[str] = set()
-    while True:
-        scanner.skip_whitespace()
-        if scanner.eof():
-            raise scanner.error(f"unterminated start tag <{name}")
-        char = scanner.peek()
-        if char == ">":
-            scanner.advance()
-            yield StartTag(name, tuple(attributes))
-            return
-        if scanner.starts_with("/>"):
-            scanner.advance(2)
-            yield StartTag(name, tuple(attributes))
-            yield EndTag(name)
-            return
-        key = scanner.read_name()
-        if key in seen:
-            raise scanner.error(f"duplicate attribute {key!r}")
-        seen.add(key)
-        scanner.skip_whitespace()
-        if scanner.peek() != "=":
-            raise scanner.error(f"attribute {key!r} lacks '='")
-        scanner.advance()
-        scanner.skip_whitespace()
-        quote = scanner.peek()
-        if quote not in "'\"":
-            raise scanner.error(f"attribute {key!r} value is not quoted")
-        scanner.advance()
-        closing = scanner.find(quote)
-        if closing < 0:
-            raise scanner.error(f"unterminated value for {key!r}")
-        raw = scanner.text[scanner.position:closing]
-        scanner.position = closing + 1
-        attributes.append((key, decode_entities(raw, scanner)))
-
-
-def parse(text: str):
-    """Parse ``text`` into an :class:`repro.xml.model.XMLDocument`."""
+    ``order``, when given, receives the root element's document-list
+    ``(kind, node)`` pairs as the tree is built (see
+    :func:`repro.xml.model.build_document`).
+    """
     from repro.xml.model import build_document
-    return build_document(tokenize(text))
+    return build_document(tokenize(text), order)

@@ -138,6 +138,20 @@ class TestByteRoundTrip:
         assert back.n_leaves == 0
         assert back.labels() == []
 
+    def test_bulk_reattach_fills_live_leaves_in_order(self, params):
+        tree = _grown_compact(params, 100)
+        back = CompactLTree.from_bytes(
+            tree.to_bytes(include_payloads=False))
+        back.mark_deleted(back.first_leaf())
+        live = list(back.iter_leaves(include_deleted=False))
+        with pytest.raises(ValueError, match="payloads for"):
+            back.reattach_payloads(["short"])
+        assert all(payload is None for payload in back.payloads())
+        assert back.reattach_payloads(
+            [("point", slot) for slot in live]) == live
+        assert back.payloads(include_deleted=False) == \
+            [("point", slot) for slot in live]
+
     def test_set_payload_rejects_internal_nodes(self):
         tree = CompactLTree(LTreeParams(f=4, s=2))
         tree.bulk_load(range(8))

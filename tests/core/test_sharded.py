@@ -479,6 +479,27 @@ class TestLazySaveFidelity:
             # the buffered payloads are still live in memory
             assert back.payload(handles[0]) == ("reattached", handles[0])
 
+    def test_bulk_reattach_matches_per_handle_set_payload(self, tmp_path):
+        """reattach_payloads is the bulk form of one set_payload per
+        live handle: lazy shards buffer without waking up, materialized
+        arenas take the payloads directly, and the live handles come
+        back in document order."""
+        tree, handles, path = self._saved(tmp_path,
+                                          include_payloads=False)
+        with PageStore(path) as store:
+            back = ShardedCompactLTree.load(store)
+            first = handles[0]
+            back.mark_deleted(first)          # wakes shard 0 only
+            live = list(back.iter_leaves(include_deleted=False))
+            payloads = [("bulk", handle) for handle in live]
+            with pytest.raises(ValueError, match="payloads for"):
+                back.reattach_payloads(payloads[:-1])
+            assert back.reattach_payloads(payloads) == live
+            assert back.materialized_shards == [first[0]]
+            assert back.payloads(include_deleted=False) == payloads
+            back.save(store, include_payloads=False)
+            assert back.materialized_shards == [first[0]]
+
     def test_lazy_reads_bound_check_like_materialized(self, tmp_path):
         tree, handles, path = self._saved(tmp_path)
         with PageStore(path) as store:

@@ -209,6 +209,42 @@ def test_save_rejects_tokens_that_cannot_round_trip(tmp_path):
         assert list(store.blobs()) == []
 
 
+@pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
+def test_failed_save_leaves_the_previous_save_openable(tmp_path,
+                                                      scheme_name):
+    """Regression: a save whose text cannot be encoded (a lone surrogate
+    in a text node) used to write the scheme blob before failing on the
+    XML, leaving a store whose token count no longer matched its labels.
+    The refusal must now come before any blob is written."""
+    from repro.errors import ParameterError
+
+    path = str(tmp_path / "doc.ltp")
+    LabeledDocument(parse("<r><a>one</a><b/></r>"),
+                    scheme=SCHEMES[scheme_name]()).save(path)
+    reopened = LabeledDocument.open(path)
+    labels_before = reopened.labels_in_order()
+    text_before = serialize(reopened.document)
+    target = reopened.document.root.children[1]
+    reopened.insert_text(target, 0, "bad \ud800 text")
+    with pytest.raises(ParameterError, match="UTF-8"):
+        reopened.save()
+    reopened.close()
+    again = LabeledDocument.open(path)
+    assert serialize(again.document) == text_before
+    assert again.labels_in_order() == labels_before
+    again.validate()
+    again.close()
+
+
+def test_character_references_outside_xml_char_do_not_parse():
+    """The other half of that bug: a lone surrogate can no longer enter
+    a document through a character reference."""
+    from repro.errors import XMLSyntaxError
+
+    with pytest.raises(XMLSyntaxError, match="not an XML character"):
+        parse("<a>&#xD800;</a>")
+
+
 class TestShardedDocumentRoundTrip:
     """Sharded-specific guarantees on top of the shared crash-restart
     suite: per-shard blob spans on disk, and a shard-lazy reopen that

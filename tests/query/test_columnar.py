@@ -60,8 +60,6 @@ class TestAgreement:
                 query = parse_xpath(text)
                 truth = _ids(evaluate_dom(document, query))
                 assert _ids(evaluate_columnar(store, query)) == truth, text
-                assert _ids(evaluate_columnar(
-                    store, query, parallel=True)) == truth, text
 
 
 class TestBackends:
@@ -98,8 +96,6 @@ class TestShardedInputs:
         for query in xpath_battery(document, 12, seed=6):
             truth = _ids(evaluate_dom(document, query))
             assert _ids(evaluate_columnar(store, query)) == truth
-            assert _ids(evaluate_columnar(store, query,
-                                          parallel=True)) == truth
 
 
 class TestIntervalStorePlumbing:
@@ -185,8 +181,7 @@ class TestSnapshotPinned:
         for step, anchor in enumerate(anchors[: len(anchors) // 2]):
             tree.insert_after(anchor, ("noise", step))
         for query, truth in zip(queries, expected):
-            assert _ids(evaluate_columnar(store, query,
-                                          parallel=True)) == truth
+            assert _ids(evaluate_columnar(store, query)) == truth
         reopened.close()
 
     def test_pinned_store_immune_to_rebalance(self, tmp_path):
@@ -229,8 +224,7 @@ class TestSnapshotPinned:
         tree.merge_shards(pair[0], pair[1])
         # after the rebalance: pinned store still identical ...
         for query, truth in zip(queries, expected):
-            assert _ids(evaluate_columnar(store, query,
-                                          parallel=True)) == truth
+            assert _ids(evaluate_columnar(store, query)) == truth
         # ... and a freshly pinned store on the new epoch also agrees
         fresh = ColumnarStore.from_snapshot(reopened, tree.snapshot())
         for query, truth in zip(queries, expected):
@@ -267,8 +261,7 @@ class TestSnapshotPinned:
         try:
             for _ in range(4):
                 for query, truth in zip(queries, expected):
-                    assert _ids(evaluate_columnar(
-                        store, query, parallel=True)) == truth
+                    assert _ids(evaluate_columnar(store, query)) == truth
         finally:
             thread.join()
         assert not errors, errors
@@ -327,8 +320,7 @@ class TestSnapshotPinned:
         try:
             for _ in range(4):
                 for query, truth in zip(queries, expected):
-                    assert _ids(evaluate_columnar(
-                        store, query, parallel=True)) == truth
+                    assert _ids(evaluate_columnar(store, query)) == truth
         finally:
             stop.set()
             for thread in threads:

@@ -89,6 +89,37 @@ class TestIncrementalRepin:
                     _ids(evaluate_dom(reopened.document, query))
         reopened.close()
 
+    def test_labels_past_int64_take_the_exact_path(self, tmp_path,
+                                                   backend, monkeypatch):
+        """Labels that could leave int64 are never gathered through
+        numpy (which would wrap): the build composes exact Python ints,
+        and a re-pin rebuilds instead of splicing."""
+        from repro.query import columnar
+
+        document = xmark_like(20, 10, 7, seed=27)
+        reopened = _open_concurrent(tmp_path, document)
+        tree = reopened.scheme.tree
+        # every label now counts as past the int64-safe bound
+        monkeypatch.setattr(columnar, "_INT64_SAFE", 1)
+        with vectorized.use_backend(backend):
+            store = ColumnarStore.from_snapshot(reopened, tree.snapshot())
+            assert store.backend == "array"
+            assert isinstance(store._begin, list)
+            for query in xpath_battery(reopened.document, 8, seed=28):
+                assert _ids(evaluate_columnar(store, query)) == \
+                    _ids(evaluate_dom(reopened.document, query))
+            anchors = list(tree.iter_leaves(include_deleted=False))
+            for step in range(5):
+                tree.insert_after(anchors[step], ("noise", step))
+            snapshot = tree.snapshot()
+            stats = Counters()
+            again = ColumnarStore.from_snapshot(reopened, snapshot, stats,
+                                                previous=store)
+            assert stats.segments_spliced == 0
+            _assert_identical(
+                again, ColumnarStore.from_snapshot(reopened, snapshot))
+        reopened.close()
+
     def test_chain_of_repins(self, tmp_path, backend):
         """Repeated edit → re-pin rounds stay identical to rebuilds."""
         document = xmark_like(20, 10, 7, seed=24)
@@ -133,8 +164,7 @@ class TestIncrementalRepin:
             _assert_identical(
                 again, ColumnarStore.from_snapshot(reopened, snapshot))
             for query in xpath_battery(reopened.document, 8, seed=26):
-                assert _ids(evaluate_columnar(again, query,
-                                              parallel=True)) == \
+                assert _ids(evaluate_columnar(again, query)) == \
                     _ids(evaluate_dom(reopened.document, query))
         reopened.close()
 

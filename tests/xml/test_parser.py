@@ -1,9 +1,14 @@
 """The from-scratch XML tokenizer and parser."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.errors import XMLSyntaxError
+from repro.xml.model import (XMLCommentNode, XMLDocument, XMLElement,
+                             XMLInstructionNode, XMLTextNode)
 from repro.xml.parser import decode_entities, parse, tokenize
+from repro.xml.serializer import serialize
 from repro.xml.tokens import Comment, EndTag, Instruction, StartTag, Text
 
 
@@ -63,9 +68,48 @@ class TestTokenizer:
         tokens = list(tokenize('<!DOCTYPE html [<!ENTITY x "y">]><a/>'))
         assert tokens == [StartTag("a"), EndTag("a")]
 
+    @pytest.mark.parametrize("doctype", [
+        '<!DOCTYPE a SYSTEM "x>y.dtd">',
+        "<!DOCTYPE a PUBLIC '-//x//y' 'z>[.dtd'>",
+        '<!DOCTYPE a [<!ENTITY e "]>">]>',
+        "<!DOCTYPE a [<!-- it's ] > -->]>",
+        "<!DOCTYPE a [<?pi don't ]?>]>",
+    ])
+    def test_doctype_literals_are_skipped_whole(self, doctype):
+        tokens = list(tokenize(doctype + "<a/>"))
+        assert tokens == [StartTag("a"), EndTag("a")]
+
+    def test_attributes_need_no_separator_after_a_quote(self):
+        (start, _) = tokenize("<a x=\"1\"y='2'/>")
+        assert start.attributes == (("x", "1"), ("y", "2"))
+
+    def test_tag_whitespace_is_space_tab_cr_lf(self):
+        (start, _) = tokenize('<a\r\n\tx \t=\r\n "1"\n/>')
+        assert start == StartTag("a", (("x", "1"),))
+
     def test_names_with_punctuation(self):
         tokens = list(tokenize("<ns:tag-1.2_x/>"))
         assert tokens[0].name == "ns:tag-1.2_x"
+
+
+#: (message, offset, line, column) every rejection below must report
+_PINNED_ERRORS = {
+    "<a><!-- oops": ("unterminated comment", 7, 1, 8),
+    "<a><![CDATA[oops": ("unterminated CDATA section", 12, 1, 13),
+    "<!DOCTYPE oops": ("unterminated DOCTYPE", 14, 1, 15),
+    "<a><?pi oops": ("unterminated processing instruction", 7, 1, 8),
+    "<a x=1></a>": ("attribute 'x' value is not quoted", 5, 1, 6),
+    '<a x="1" x="2"></a>': ("duplicate attribute 'x'", 10, 1, 11),
+    '<a x="oops></a>': ("unterminated value for 'x'", 6, 1, 7),
+    "<a>&nosuch;</a>": ("unknown entity &nosuch;", 11, 1, 12),
+    "<a>&unterminated</a>": ("unterminated entity reference", 16, 1, 17),
+    "< a></a>": ("expected a name", 1, 1, 2),
+    "</a >x</>": ("expected a name", 8, 1, 9),
+    '<a\x0cb="1"/>': ("expected a name", 2, 1, 3),
+    "<1a/>": ("expected a name", 1, 1, 2),
+    "<\u00b2a/>": ("expected a name", 1, 1, 2),
+    "<a x='1": ("unterminated value for 'x'", 6, 1, 7),
+}
 
 
 class TestTokenizerErrors:
@@ -81,10 +125,33 @@ class TestTokenizerErrors:
         ("<a>&unterminated</a>", "entity"),
         ("< a></a>", "name"),
         ("</a >x</>", "unexpected"),
+        ('<a\x0cb="1"/>', "name"),
+        ("<1a/>", "name"),
+        ("<\u00b2a/>", "name"),
+        ("<a x='1", "unterminated"),
     ])
     def test_rejects(self, source, fragment):
-        with pytest.raises(XMLSyntaxError):
+        with pytest.raises(XMLSyntaxError) as caught:
             list(tokenize(source)) and parse(source)
+        message, position, line, column = _PINNED_ERRORS[source]
+        assert str(caught.value) == \
+            f"{message} at line {line}, column {column}"
+        assert (caught.value.position, caught.value.line,
+                caught.value.column) == (position, line, column)
+
+    @pytest.mark.parametrize("source,position,line,column", [
+        ("<a>&#xD800;</a>", 11, 1, 12),
+        ("<a>\n&#0;</a>", 8, 2, 5),
+        ("<a v='&#xFFFE;'/>", 15, 1, 16),
+        ("<a>&#x1F;</a>", 9, 1, 10),
+    ])
+    def test_rejects_references_outside_xml_char(self, source, position,
+                                                  line, column):
+        with pytest.raises(XMLSyntaxError,
+                           match="is not an XML character") as caught:
+            list(tokenize(source))
+        assert (caught.value.position, caught.value.line,
+                caught.value.column) == (position, line, column)
 
     def test_error_carries_position(self):
         try:
@@ -106,6 +173,23 @@ class TestDecodeEntities:
     def test_unknown_raises(self):
         with pytest.raises(XMLSyntaxError):
             decode_entities("&bogus;")
+
+    @pytest.mark.parametrize("reference,char", [
+        ("&#9;", "\t"), ("&#xA;", "\n"), ("&#xD;", "\r"), ("&#x20;", " "),
+        ("&#xD7FF;", "\ud7ff"), ("&#xE000;", "\ue000"),
+        ("&#xFFFD;", "\ufffd"), ("&#x10000;", "\U00010000"),
+        ("&#x10FFFF;", "\U0010ffff"),
+    ])
+    def test_char_range_edges_accepted(self, reference, char):
+        assert decode_entities(reference) == char
+
+    @pytest.mark.parametrize("reference", [
+        "&#0;", "&#x8;", "&#xB;", "&#x1F;", "&#xD800;", "&#xDFFF;",
+        "&#xFFFE;", "&#xFFFF;",
+    ])
+    def test_non_chars_rejected(self, reference):
+        with pytest.raises(XMLSyntaxError, match="not an XML character"):
+            decode_entities(reference)
 
 
 class TestParse:
@@ -147,3 +231,116 @@ class TestParse:
         document = parse("<?pi pre?><a/><!--post-->")
         assert len(document.prolog) == 1
         assert len(document.epilog) == 1
+
+
+# ---------------------------------------------------------------------------
+# round trips over generated documents
+# ---------------------------------------------------------------------------
+_NAME_STARTS = "abxyz_:\u00e9\u03a9\u4e2d"
+_NAME_CHARS = _NAME_STARTS + "019.-\u00b2"
+_NAMES = st.builds(lambda first, rest: first + rest,
+                   st.sampled_from(_NAME_STARTS),
+                   st.text(alphabet=_NAME_CHARS, max_size=4))
+#: XML characters, the markup-significant ones included
+_CHARS = st.characters(blacklist_categories=("Cs",),
+                       blacklist_characters="\x00\ufffe\uffff",
+                       min_codepoint=9).filter(
+    lambda char: char in "\t\n\r" or ord(char) >= 0x20)
+_TEXT = st.text(alphabet=st.one_of(st.sampled_from("<>&'\" ]"), _CHARS),
+                min_size=1, max_size=12)
+_PLAIN = st.text(alphabet="abc xyz", max_size=8)
+_WS = st.text(alphabet=" \t\r\n", max_size=2)
+_REFERENCES = {"&": ("&amp;", "&#38;", "&#x26;"),
+               "<": ("&lt;", "&#60;"),
+               ">": ("&gt;", ">", "&#x3E;"),
+               '"': ("&quot;", "&#34;"),
+               "'": ("&apos;", "&#39;")}
+
+
+def _text_node():
+    return st.one_of(
+        st.builds(XMLTextNode, _TEXT),
+        st.builds(XMLCommentNode, _PLAIN),
+        st.builds(XMLInstructionNode,
+                  _NAMES.filter(lambda name: name.lower() != "xml"),
+                  _PLAIN.map(str.strip)))
+
+
+@st.composite
+def _elements(draw, depth=0):
+    element = XMLElement(draw(_NAMES))
+    for key in draw(st.lists(_NAMES, unique=True, max_size=3)):
+        element.attributes[key] = draw(st.one_of(st.just(""), _TEXT))
+    if depth < 3:
+        previous_text = False
+        for _ in range(draw(st.integers(0, 4))):
+            child = draw(st.one_of(_elements(depth=depth + 1),
+                                   _text_node()))
+            # adjacent text nodes would merge on the way back
+            is_text = isinstance(child, XMLTextNode)
+            if is_text and previous_text:
+                continue
+            element.append_child(child)
+            previous_text = is_text
+    return element
+
+
+def _escape(draw, raw, quote=None):
+    """Escape ``raw`` with a drawn mix of named and numeric references
+    (or, in text, a CDATA section)."""
+    if quote is None and "]]>" not in raw and draw(st.booleans()):
+        return f"<![CDATA[{raw}]]>"
+    pieces = []
+    for char in raw:
+        if char in "&<" or char == quote:
+            pieces.append(draw(st.sampled_from(
+                [ref for ref in _REFERENCES[char] if ref != char])))
+        elif char in _REFERENCES and draw(st.booleans()):
+            pieces.append(draw(st.sampled_from(_REFERENCES[char])))
+        else:
+            pieces.append(char)
+    return "".join(pieces)
+
+
+def _render(draw, node):
+    """XML text for ``node`` with drawn quote styles, tag whitespace,
+    references, CDATA and self-closing forms."""
+    if isinstance(node, XMLTextNode):
+        return _escape(draw, node.content)
+    if isinstance(node, XMLCommentNode):
+        return f"<!--{node.content}-->"
+    if isinstance(node, XMLInstructionNode):
+        body = f" {node.content}" if node.content else ""
+        return f"<?{node.target}{body}?>"
+    attributes = []
+    for key, value in node.attributes.items():
+        quote = draw(st.sampled_from("\"'"))
+        attributes.append(
+            f"{draw(_WS)}{key}{draw(_WS)}={draw(_WS)}"
+            f"{quote}{_escape(draw, value, quote)}{quote}")
+    head = f"<{node.tag}" + "".join(
+        (" " if index == 0 or draw(st.booleans()) else "") + attribute
+        for index, attribute in enumerate(attributes)) + draw(_WS)
+    if not node.children and draw(st.booleans()):
+        return head + "/>"
+    body = "".join(_render(draw, child) for child in node.children)
+    return f"{head}>{body}</{node.tag}{draw(_WS)}>"
+
+
+class TestRoundTrip:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(root=_elements(), data=st.data())
+    def test_generated_documents_round_trip(self, root, data):
+        document = XMLDocument(root)
+        expected = list(document.tokens())
+        assert list(parse(serialize(document)).tokens()) == expected
+        rendered = _render(data.draw, root)
+        assert list(parse(rendered).tokens()) == expected
+        order = []
+        reparsed = parse(rendered, order=order)
+        assert [kind for kind, _ in order] == [
+            "begin" if isinstance(token, StartTag) else
+            "end" if isinstance(token, EndTag) else "point"
+            for token in expected]
+        assert order[0] == ("begin", reparsed.root)
