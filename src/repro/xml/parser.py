@@ -53,8 +53,10 @@ _PREDEFINED_ENTITIES = {
 
 _NAME_START_EXTRAS = "_:"
 
-_WS = r"[ \t\r\n]*+"
-_NAME = r"[\w:][\w:.\-]*+"
+_WS = r"[ \t\r\n]*"
+#: a maximal name: the lookahead keeps a name from backtracking into a
+#: shorter one (``<abc="1">`` must not read as ``<ab c="1">``)
+_NAME = r"[\w:][\w:.\-]*(?![\w:.\-])"
 _ATTRIBUTE_BODY = rf"{_WS}({_NAME}){_WS}={_WS}(?:\"([^\"]*)\"|'([^']*)')"
 
 _NAME_RE = re.compile(_NAME)
@@ -63,7 +65,7 @@ _WS_RE = re.compile(_WS)
 _ATTRIBUTE = re.compile(_ATTRIBUTE_BODY)
 #: a whole start tag: (name, attribute run, "/" or "")
 _START_TAG = re.compile(
-    rf"<({_NAME})((?:{_WS}{_NAME}{_WS}={_WS}(?:\"[^\"]*\"|'[^']*'))*+)"
+    rf"<({_NAME})((?:{_WS}{_NAME}{_WS}={_WS}(?:\"[^\"]*\"|'[^']*'))*)"
     rf"{_WS}(/?)>")
 _END_TAG = re.compile(rf"</({_NAME}){_WS}>")
 

@@ -92,48 +92,46 @@ class TestTokenizer:
         assert tokens[0].name == "ns:tag-1.2_x"
 
 
-#: (message, offset, line, column) every rejection below must report
-_PINNED_ERRORS = {
-    "<a><!-- oops": ("unterminated comment", 7, 1, 8),
-    "<a><![CDATA[oops": ("unterminated CDATA section", 12, 1, 13),
-    "<!DOCTYPE oops": ("unterminated DOCTYPE", 14, 1, 15),
-    "<a><?pi oops": ("unterminated processing instruction", 7, 1, 8),
-    "<a x=1></a>": ("attribute 'x' value is not quoted", 5, 1, 6),
-    '<a x="1" x="2"></a>': ("duplicate attribute 'x'", 10, 1, 11),
-    '<a x="oops></a>': ("unterminated value for 'x'", 6, 1, 7),
-    "<a>&nosuch;</a>": ("unknown entity &nosuch;", 11, 1, 12),
-    "<a>&unterminated</a>": ("unterminated entity reference", 16, 1, 17),
-    "< a></a>": ("expected a name", 1, 1, 2),
-    "</a >x</>": ("expected a name", 8, 1, 9),
-    '<a\x0cb="1"/>': ("expected a name", 2, 1, 3),
-    "<1a/>": ("expected a name", 1, 1, 2),
-    "<\u00b2a/>": ("expected a name", 1, 1, 2),
-    "<a x='1": ("unterminated value for 'x'", 6, 1, 7),
-}
+def _rejection(source, label, message, position, line, column):
+    """A rejection case: the (message, offset, line, column) ``source``
+    must report, under the case ID ``<source>-<label>``."""
+    return pytest.param(source, message, position, line, column,
+                        id=f"{source}-{label}")
 
 
 class TestTokenizerErrors:
-    @pytest.mark.parametrize("source,fragment", [
-        ("<a><!-- oops", "comment"),
-        ("<a><![CDATA[oops", "CDATA"),
-        ("<!DOCTYPE oops", "DOCTYPE"),
-        ("<a><?pi oops", "instruction"),
-        ("<a x=1></a>", "quoted"),
-        ('<a x="1" x="2"></a>', "duplicate"),
-        ('<a x="oops></a>', "unterminated"),
-        ("<a>&nosuch;</a>", "entity"),
-        ("<a>&unterminated</a>", "entity"),
-        ("< a></a>", "name"),
-        ("</a >x</>", "unexpected"),
-        ('<a\x0cb="1"/>', "name"),
-        ("<1a/>", "name"),
-        ("<\u00b2a/>", "name"),
-        ("<a x='1", "unterminated"),
+    @pytest.mark.parametrize("source,message,position,line,column", [
+        _rejection("<a><!-- oops", "comment",
+                   "unterminated comment", 7, 1, 8),
+        _rejection("<a><![CDATA[oops", "CDATA",
+                   "unterminated CDATA section", 12, 1, 13),
+        _rejection("<!DOCTYPE oops", "DOCTYPE",
+                   "unterminated DOCTYPE", 14, 1, 15),
+        _rejection("<a><?pi oops", "instruction",
+                   "unterminated processing instruction", 7, 1, 8),
+        _rejection("<a x=1></a>", "quoted",
+                   "attribute 'x' value is not quoted", 5, 1, 6),
+        _rejection('<a x="1" x="2"></a>', "duplicate",
+                   "duplicate attribute 'x'", 10, 1, 11),
+        _rejection('<a x="oops></a>', "unterminated",
+                   "unterminated value for 'x'", 6, 1, 7),
+        _rejection("<a>&nosuch;</a>", "entity",
+                   "unknown entity &nosuch;", 11, 1, 12),
+        _rejection("<a>&unterminated</a>", "entity",
+                   "unterminated entity reference", 16, 1, 17),
+        _rejection("< a></a>", "name", "expected a name", 1, 1, 2),
+        _rejection("</a >x</>", "unexpected", "expected a name", 8, 1, 9),
+        _rejection('<a\x0cb="1"/>', "name", "expected a name", 2, 1, 3),
+        _rejection("<1a/>", "name", "expected a name", 1, 1, 2),
+        _rejection("<\u00b2a/>", "name", "expected a name", 1, 1, 2),
+        _rejection("<a x='1", "unterminated",
+                   "unterminated value for 'x'", 6, 1, 7),
+        # the tag name must not backtrack into the well-formed <ab c="1"/>
+        _rejection('<abc="1"/>', "name", "expected a name", 4, 1, 5),
     ])
-    def test_rejects(self, source, fragment):
+    def test_rejects(self, source, message, position, line, column):
         with pytest.raises(XMLSyntaxError) as caught:
             list(tokenize(source)) and parse(source)
-        message, position, line, column = _PINNED_ERRORS[source]
         assert str(caught.value) == \
             f"{message} at line {line}, column {column}"
         assert (caught.value.position, caught.value.line,
