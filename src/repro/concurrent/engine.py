@@ -34,7 +34,7 @@ the WAL tape can never order an op on a new shard ahead of its
 creation).  Writers to uninvolved shards proceed throughout; a writer
 whose handle names a just-retired shard re-resolves it through the
 engine's forwarding table and retries against the successor — the
-resolve → lock → recheck loop in :meth:`_routed`.  A pinned
+resolve → lock → recheck loop in :meth:`_acquire`.  A pinned
 :class:`LabelSnapshot` is entirely unaffected: it holds its own
 directory cut (ids, positions, stride, images) plus the grow-only
 forwarding table, so a rebalance committing under it changes nothing it
@@ -44,12 +44,16 @@ Whole-structure operations — ``bulk_load`` (the shard set is rebuilt),
 ``compact``, ``save``, ``validate``, materializing enumerations that
 include tombstones — take the latch exclusively (stop the world).
 
-An optional ``journal`` callable receives one dict per successful
-mutation *while the shard write lock is still held*, so the journal's
-global order restricted to any one shard equals that shard's actual
-apply order — the property that makes a serial replay of the merged
-tape deterministic (see :mod:`repro.concurrent.service`, which plugs
-the write-ahead log in here).
+An optional ``journal`` callable receives one encoded record per
+successful mutation *while the shard write lock is still held*, so the
+journal's global order restricted to any one shard equals that shard's
+actual apply order — the property that makes a serial replay of the
+merged tape deterministic (see :mod:`repro.concurrent.service`, which
+plugs the write-ahead log in here).  The record
+(:func:`repro.storage.wal.encode_op` of the op dict) is built *before*
+the engine is touched, so an op the journal cannot encode raises with
+no trace in memory; the journal call itself follows the apply, so an
+op the engine rejects never reaches the log.
 """
 
 from __future__ import annotations
@@ -57,16 +61,16 @@ from __future__ import annotations
 import inspect
 import threading
 import time
-from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Optional, Sequence
 
-from repro.concurrent.locks import ShardLockTable
+from repro.concurrent.locks import RWLock, ShardLockTable
 from repro.obs import METRICS, TRACER
 from repro.core.params import LTreeParams
 from repro.core.sharded import (RebalancePolicy, _Shard,
                                 ShardedCompactLTree)
 from repro.core.stats import NULL_COUNTERS, Counters
 from repro.storage.faults import FAILPOINTS, failpoint
+from repro.storage.wal import encode_op
 
 # the enumerable crash surface of this module (see repro.storage.faults)
 FAILPOINTS.declare("concurrent:split:post-journal",
@@ -262,7 +266,8 @@ class ConcurrentLTree:
         The sharded engine to guard.  It is adopted: direct use of the
         raw engine afterwards bypasses the locks.
     journal:
-        Optional callable receiving one op dict per successful
+        Optional callable receiving one encoded op record
+        (:func:`~repro.storage.wal.encode_op` bytes) per successful
         mutation, invoked under the mutated shard's write lock.
     """
 
@@ -277,14 +282,13 @@ class ConcurrentLTree:
         #: into the engine so its split/merge commits run under it.
         self._directory_latch = threading.Lock()
         engine.directory_mutex = self._directory_latch
-        self._versions: dict[int, int] = {sid: 0
-                                          for sid in engine.shard_ids}
         #: shard id -> labeled writes applied; always on (one dict
         #: increment under the shard's already-held write lock) because
         #: workload-aware rebalancing reads it — see :meth:`write_counts`
         self._write_counts: dict[int, int] = {sid: 0
                                               for sid in engine.shard_ids}
-        #: shard id -> (version, image, live, meta) pinned-image cache
+        #: shard id -> (engine write version, image, live, meta)
+        #: pinned-image cache
         self._image_cache: dict[int, tuple] = {}
         #: stop-the-world stride bumps performed (mirrors the engine's
         #: ``directory_rebuilds`` but counted by the wrapper)
@@ -387,28 +391,32 @@ class ConcurrentLTree:
     # ------------------------------------------------------------------
     # write path (latch shared + one shard exclusive)
     # ------------------------------------------------------------------
-    @contextmanager
-    def _routed(self, handle: tuple[int, int],
-                write: bool = True) -> Iterator[tuple[int, tuple[int,
-                                                                 int]]]:
+    def _acquire(self, handle: tuple[int, int], write: bool
+                 ) -> tuple[int, tuple[int, int], RWLock]:
         """Resolve → lock → recheck loop for one routed op.
 
-        Resolves the handle through the engine's forwarding table,
-        locks the target shard, then re-checks it is still in the
-        directory: a rebalance that retired it between the resolve and
-        the acquire makes the check fail, the lock is dropped and the
-        resolve retried against the successor shard.  Ids are never
-        reused, so a shard that passes the recheck under its held lock
-        provably stays in the directory for the critical section —
-        membership changes to it would need this very lock.  Yields
-        ``(shard_id, resolved_handle)``.
+        Takes the latch shared, resolves the handle through the
+        engine's forwarding table, locks the target shard, then
+        re-checks it is still in the directory: a rebalance that
+        retired it between the resolve and the acquire makes the check
+        fail, the lock is dropped and the resolve retried against the
+        successor shard.  Ids are never reused, so a shard that passes
+        the recheck under its held lock provably stays in the directory
+        for the critical section — membership changes to it would need
+        this very lock.  Returns ``(shard_id, resolved_handle, lock)``
+        with the latch and ``lock`` held; the caller hands ``lock`` to
+        :meth:`_release` in a ``finally``.  Plain calls rather than a
+        context manager: see :mod:`repro.concurrent.locks`.
         """
         engine = self._engine
         locks = self._locks
-        with locks.latch.read():
+        latch = locks.latch
+        latch.acquire_read()
+        try:
             while True:
-                sid, slot = engine.resolve_handle(handle)
-                lock = locks.lock_for(sid)
+                resolved = engine.resolve_handle(handle)
+                sid = resolved[0]
+                lock = locks.by_id.get(sid)
                 if lock is None:
                     # retired between resolve and lookup (commit in
                     # flight); the forwarding entry is already there
@@ -426,35 +434,32 @@ class ConcurrentLTree:
                 else:
                     lock.acquire_read()
                 if engine.has_shard(sid):
-                    break
+                    return sid, resolved, lock
                 if write:
                     lock.release_write()
                 else:
                     lock.release_read()
-            try:
-                yield sid, (sid, slot)
-            finally:
-                if write:
-                    lock.release_write()
-                else:
-                    lock.release_read()
+        except BaseException:
+            latch.release_read()
+            raise
 
-    @contextmanager
-    def _edge_write(self, last: bool) -> Iterator[int]:
-        """Write lock on the current first/last shard; yields its id.
+    def _acquire_edge(self, last: bool) -> tuple[int, RWLock]:
+        """Write lock on the current first/last shard: ``(id, lock)``.
 
         The id is resolved under the latch and re-checked under its
         lock, so an ``append`` racing a split of the tail shard locks
         the shard the engine will actually route to — never a stale
-        one.
+        one.  Released with ``_release(lock, True)``.
         """
         engine = self._engine
         locks = self._locks
-        with locks.latch.read():
+        latch = locks.latch
+        latch.acquire_read()
+        try:
             while True:
                 ids = engine.shard_ids
                 sid = ids[-1] if last else ids[0]
-                lock = locks.lock_for(sid)
+                lock = locks.by_id.get(sid)
                 if lock is None:
                     continue
                 if METRICS.enabled:
@@ -466,21 +471,29 @@ class ConcurrentLTree:
                     lock.acquire_write()
                 ids = engine.shard_ids
                 if (ids[-1] if last else ids[0]) == sid:
-                    break
+                    return sid, lock
                 lock.release_write()
-            try:
-                yield sid
-            finally:
-                lock.release_write()
+        except BaseException:
+            latch.release_read()
+            raise
 
-    def _after_write(self, shard_id: int, op: Optional[dict]) -> None:
-        """Version bump, journaling, and the deferred stride bump — all
-        while the caller still holds shard ``shard_id``'s write lock."""
-        self._versions[shard_id] += 1
+    def _release(self, lock: RWLock, write: bool) -> None:
+        """Undo :meth:`_acquire` / :meth:`_acquire_edge`."""
+        if write:
+            lock.release_write()
+        else:
+            lock.release_read()
+        self._locks.latch.release_read()
+
+    def _after_write(self, shard_id: int, record: Optional[bytes]) -> None:
+        """Write count, journaling, and the deferred stride bump — all
+        while the caller still holds shard ``shard_id``'s write lock.
+        ``record`` is the op's body, encoded before the arena was
+        touched (``None`` without a journal)."""
         counts = self._write_counts
         counts[shard_id] = counts.get(shard_id, 0) + 1
-        if op is not None and self._journal is not None:
-            self._journal(op)
+        if record is not None:
+            self._journal(record)
         if self._engine.needs_directory_growth(shard_id):
             with self._directory_latch:
                 if self._engine.grow_directory(shard_id):
@@ -488,64 +501,104 @@ class ConcurrentLTree:
 
     def insert_after(self, handle: tuple[int, int],
                      payload: Any) -> tuple[int, int]:
-        with self._routed(handle) as (sid, resolved):
+        sid, resolved, lock = self._acquire(handle, True)
+        try:
+            record = None if self._journal is None else encode_op(
+                {"op": "insert_after", "h": list(resolved), "p": payload})
             leaf = self._engine.insert_after(resolved, payload)
-            self._after_write(sid, {"op": "insert_after",
-                                    "h": list(resolved), "p": payload})
+            self._after_write(sid, record)
             return leaf
+        finally:
+            self._release(lock, True)
 
     def insert_before(self, handle: tuple[int, int],
                       payload: Any) -> tuple[int, int]:
-        with self._routed(handle) as (sid, resolved):
+        sid, resolved, lock = self._acquire(handle, True)
+        try:
+            record = None if self._journal is None else encode_op(
+                {"op": "insert_before", "h": list(resolved),
+                 "p": payload})
             leaf = self._engine.insert_before(resolved, payload)
-            self._after_write(sid, {"op": "insert_before",
-                                    "h": list(resolved), "p": payload})
+            self._after_write(sid, record)
             return leaf
+        finally:
+            self._release(lock, True)
 
     def append(self, payload: Any) -> tuple[int, int]:
-        with self._edge_write(last=True) as sid:
+        sid, lock = self._acquire_edge(True)
+        try:
+            record = None if self._journal is None else encode_op(
+                {"op": "append", "p": payload})
             leaf = self._engine.append(payload)
-            self._after_write(sid, {"op": "append", "p": payload})
+            self._after_write(sid, record)
             return leaf
+        finally:
+            self._release(lock, True)
 
     def prepend(self, payload: Any) -> tuple[int, int]:
-        with self._edge_write(last=False) as sid:
+        sid, lock = self._acquire_edge(False)
+        try:
+            record = None if self._journal is None else encode_op(
+                {"op": "prepend", "p": payload})
             leaf = self._engine.prepend(payload)
-            self._after_write(sid, {"op": "prepend", "p": payload})
+            self._after_write(sid, record)
             return leaf
+        finally:
+            self._release(lock, True)
 
     def insert_run_after(self, handle: tuple[int, int],
                          payloads: Sequence[Any]) -> list[tuple[int, int]]:
         items = list(payloads)
-        with self._routed(handle) as (sid, resolved):
+        sid, resolved, lock = self._acquire(handle, True)
+        try:
+            record = None if self._journal is None else encode_op(
+                {"op": "insert_run_after", "h": list(resolved),
+                 "ps": items})
             leaves = self._engine.insert_run_after(resolved, items)
-            self._after_write(sid, {"op": "insert_run_after",
-                                    "h": list(resolved), "ps": items})
+            self._after_write(sid, record)
             return leaves
+        finally:
+            self._release(lock, True)
 
     def insert_run_before(self, handle: tuple[int, int],
                           payloads: Sequence[Any]
                           ) -> list[tuple[int, int]]:
         items = list(payloads)
-        with self._routed(handle) as (sid, resolved):
+        sid, resolved, lock = self._acquire(handle, True)
+        try:
+            record = None if self._journal is None else encode_op(
+                {"op": "insert_run_before", "h": list(resolved),
+                 "ps": items})
             leaves = self._engine.insert_run_before(resolved, items)
-            self._after_write(sid, {"op": "insert_run_before",
-                                    "h": list(resolved), "ps": items})
+            self._after_write(sid, record)
             return leaves
+        finally:
+            self._release(lock, True)
 
     def mark_deleted(self, handle: tuple[int, int]) -> None:
-        with self._routed(handle) as (sid, resolved):
+        sid, resolved, lock = self._acquire(handle, True)
+        try:
+            record = None if self._journal is None else encode_op(
+                {"op": "delete", "h": list(resolved)})
             self._engine.mark_deleted(resolved)
-            self._after_write(sid, {"op": "delete", "h": list(resolved)})
+            self._after_write(sid, record)
+        finally:
+            self._release(lock, True)
 
     def set_payload(self, handle: tuple[int, int], payload: Any) -> None:
-        with self._routed(handle) as (_sid, resolved):
+        _sid, resolved, lock = self._acquire(handle, True)
+        try:
+            journal = self._journal
+            record = None if journal is None else encode_op(
+                {"op": "set_payload", "h": list(resolved), "p": payload})
             self._engine.set_payload(resolved, payload)
-            # payloads never touch labels: no version bump (snapshots
-            # stay valid), but the op is journaled for recovery
-            if self._journal is not None:
-                self._journal({"op": "set_payload", "h": list(resolved),
-                               "p": payload})
+            # payloads never touch labels: no write count (the engine
+            # bumps no version either, so snapshots stay valid), but
+            # the op is journaled for recovery
+            if journal is not None:
+                journal(record)
+        finally:
+            self._release(lock, True)
 
     def bulk_load(self, payloads: Sequence[Any],
                   boundaries: Optional[Sequence[int]] = None
@@ -553,17 +606,19 @@ class ConcurrentLTree:
         """Rebuild the shard set — necessarily stop-the-world."""
         items = list(payloads)
         with self._locks.exclusive():
+            record = None if self._journal is None else encode_op({
+                "op": "bulk_load", "ps": items,
+                "bounds": list(boundaries)
+                if boundaries is not None else None})
             handles = self._engine.bulk_load(items, boundaries=boundaries)
             self._locks.set_shards(self._engine.shard_ids)
-            self._versions = {sid: 1 for sid in self._engine.shard_ids}
             self._write_counts = {sid: 0
                                   for sid in self._engine.shard_ids}
+            # new shards restart their ids and versions: no cached
+            # image may match one of them
             self._image_cache.clear()
-            if self._journal is not None:
-                self._journal({
-                    "op": "bulk_load", "ps": items,
-                    "bounds": list(boundaries)
-                    if boundaries is not None else None})
+            if record is not None:
+                self._journal(record)
             return handles
 
     def compact(self, params: Optional[LTreeParams] = None):
@@ -574,8 +629,6 @@ class ConcurrentLTree:
         """
         with self._locks.exclusive():
             mapping = self._engine.compact(params)
-            self._versions = {sid: version + 1 for sid, version
-                              in self._versions.items()}
             self._image_cache.clear()
             return mapping
 
@@ -603,8 +656,9 @@ class ConcurrentLTree:
         """
         engine = self._engine
         locks = self._locks
-        with locks.latch.read():
-            lock = locks.lock_for(shard_id)
+        locks.latch.acquire_read()
+        try:
+            lock = locks.by_id.get(shard_id)
             if lock is None:
                 raise ValueError(f"no shard with id {shard_id}")
             lock.acquire_write()
@@ -618,11 +672,11 @@ class ConcurrentLTree:
                     granted.extend(ids)
                     locks.add_shards(ids)
                     for sid in ids:
-                        self._versions[sid] = 1
                         self._write_counts[sid] = 0
                     if self._journal is not None:
-                        self._journal({"op": "split", "id": shard_id,
-                                       "at": at_leaf, "new": list(ids)})
+                        self._journal(encode_op(
+                            {"op": "split", "id": shard_id,
+                             "at": at_leaf, "new": list(ids)}))
                     failpoint("concurrent:split:post-journal",
                               shard_id=shard_id, new_ids=ids)
 
@@ -635,10 +689,8 @@ class ConcurrentLTree:
                     # directory swap: retract the half-registered ids
                     locks.drop_shards(granted)
                     for sid in granted:
-                        self._versions.pop(sid, None)
                         self._write_counts.pop(sid, None)
                     raise
-                self._versions.pop(shard_id, None)
                 self._write_counts.pop(shard_id, None)
                 self._image_cache.pop(shard_id, None)
                 locks.drop_shards((shard_id,))
@@ -646,6 +698,8 @@ class ConcurrentLTree:
                 return new_ids
             finally:
                 lock.release_write()
+        finally:
+            locks.latch.release_read()
 
     def merge_shards(self, id_a: int, id_b: int,
                      new_id: Optional[int] = None) -> int:
@@ -658,9 +712,10 @@ class ConcurrentLTree:
         engine = self._engine
         locks = self._locks
         first, second = sorted((id_a, id_b))
-        with locks.latch.read():
-            lock_a = locks.lock_for(first)
-            lock_b = locks.lock_for(second)
+        locks.latch.acquire_read()
+        try:
+            lock_a = locks.by_id.get(first)
+            lock_b = locks.by_id.get(second)
             if lock_a is None or lock_b is None:
                 missing = first if lock_a is None else second
                 raise ValueError(f"no shard with id {missing}")
@@ -679,11 +734,11 @@ class ConcurrentLTree:
                     def on_commit(sid: int) -> None:
                         granted.append(sid)
                         locks.add_shards((sid,))
-                        self._versions[sid] = 1
                         self._write_counts[sid] = 0
                         if self._journal is not None:
-                            self._journal({"op": "merge", "a": id_a,
-                                           "b": id_b, "new": sid})
+                            self._journal(encode_op(
+                                {"op": "merge", "a": id_a, "b": id_b,
+                                 "new": sid}))
                         failpoint("concurrent:merge:post-journal",
                                   id_a=id_a, id_b=id_b, new_id=sid)
 
@@ -694,11 +749,9 @@ class ConcurrentLTree:
                     except BaseException:
                         locks.drop_shards(granted)
                         for sid in granted:
-                            self._versions.pop(sid, None)
                             self._write_counts.pop(sid, None)
                         raise
                     for sid in (first, second):
-                        self._versions.pop(sid, None)
                         self._write_counts.pop(sid, None)
                         self._image_cache.pop(sid, None)
                     locks.drop_shards((first, second))
@@ -709,6 +762,8 @@ class ConcurrentLTree:
                     lock_b.release_write()
             finally:
                 lock_a.release_write()
+        finally:
+            locks.latch.release_read()
 
     def write_counts(self) -> dict[int, int]:
         """Labeled writes applied per live shard since load/creation.
@@ -792,21 +847,33 @@ class ConcurrentLTree:
         own shard; for a mutually consistent label set use
         :meth:`labels`, :meth:`label_map` or :meth:`snapshot`.
         """
-        with self._routed(handle, write=False) as (_sid, resolved):
+        _sid, resolved, lock = self._acquire(handle, False)
+        try:
             return self._engine.num(resolved)
+        finally:
+            self._release(lock, False)
 
     def is_deleted(self, handle: tuple[int, int]) -> bool:
-        with self._routed(handle, write=False) as (_sid, resolved):
+        _sid, resolved, lock = self._acquire(handle, False)
+        try:
             return self._engine.is_deleted(resolved)
+        finally:
+            self._release(lock, False)
 
     def payload(self, handle: tuple[int, int]) -> Any:
         # may materialize a lazy shard — a structural write
-        with self._routed(handle) as (_sid, resolved):
+        _sid, resolved, lock = self._acquire(handle, True)
+        try:
             return self._engine.payload(resolved)
+        finally:
+            self._release(lock, True)
 
     def is_leaf(self, handle: tuple[int, int]) -> bool:
-        with self._routed(handle) as (_sid, resolved):
+        _sid, resolved, lock = self._acquire(handle, True)
+        try:
             return self._engine.is_leaf(resolved)
+        finally:
+            self._release(lock, True)
 
     def find_leaf(self, num: int) -> Optional[tuple[int, int]]:
         with self._locks.exclusive():
@@ -854,11 +921,12 @@ class ConcurrentLTree:
             ids = engine.shard_ids
             stride = engine.stride
             forwarding = engine._forwarding
+            versions = engine.shard_versions()
             epoch = (engine.epoch,) + tuple(
-                (sid, self._versions[sid]) for sid in ids)
+                (sid, versions[sid]) for sid in ids)
             shards: list[_Shard] = []
             for sid in ids:
-                version = self._versions[sid]
+                version = versions[sid]
                 cached = self._image_cache.get(sid)
                 if cached is None or cached[0] != version:
                     image, live, meta = engine.shard_image(sid)

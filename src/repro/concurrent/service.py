@@ -31,9 +31,9 @@ its CRC and is physically dropped, never deserialized.
 **Payload contract.**  Ops are serialized as JSON, so payloads must be
 JSON-serializable (the same constraint ``CompactLTree.to_bytes``
 imposes); tuples come back as lists.  Passing a non-serializable
-payload raises :class:`~repro.errors.StorageError` after the in-memory
-apply — the log is then behind the memory state, so treat the service
-as poisoned and reopen it.
+payload raises :class:`~repro.errors.StorageError` *before* the
+in-memory apply: the record is encoded first, so a rejected op leaves
+neither memory nor the log changed and the service keeps serving.
 """
 
 from __future__ import annotations

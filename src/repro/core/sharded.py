@@ -142,8 +142,9 @@ class _Shard:
         #: (a lazy shard is immutable, so this can never go stale)
         self._num_column: Optional[array] = None
         #: bumped by the engine on every label-affecting mutation of
-        #: this arena (inserts, runs, tombstones) — the dirty-shard
-        #: signal incremental columnar consumers key their caches on.
+        #: this arena (inserts, runs, tombstones, compaction): the one
+        #: per-shard version, which incremental columnar consumers and
+        #: the concurrent wrapper's snapshot epoch key their caches on.
         #: Fresh arenas (bulk load, split/merge products) restart at 1.
         self.write_version = 1
         #: ``(write_version, live_slots, num_column)`` memo backing
@@ -1290,7 +1291,10 @@ class ShardedCompactLTree:
         d = self._dir
         mapping: dict[tuple[int, int], tuple[int, int]] = {}
         for sid in d.ids:
-            local = d.shards[sid].materialize().compact(params)
+            shard = d.shards[sid]
+            local = shard.materialize().compact(params)
+            # slots and labels both moved under an unchanged id
+            shard.write_version += 1
             mapping.update(((sid, old), (sid, new))
                            for old, new in local.items())
         self._forwarding = {}

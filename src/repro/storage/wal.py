@@ -46,12 +46,14 @@ one — never a half-truncated file.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import struct
 import threading
 import time
 import zlib
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Iterator, Optional
 
 from repro.errors import CorruptionError, RecoveryError, StorageError
@@ -95,9 +97,36 @@ _SEQ = struct.Struct("<Q")
 MAX_RECORD_BYTES = 64 * 1024 * 1024
 
 
-def _encode_record(seq: int, body: bytes) -> bytes:
-    crc = zlib.crc32(_SEQ.pack(seq) + body)
-    return _RECORD.pack(len(body), crc, seq) + body
+#: the one record-body encoder, built once: the C encoder
+#: ``json.dumps(op, separators=(",", ":"))`` would build (after a fresh
+#: ``JSONEncoder``) for every record, which costs more than the encoding
+#: itself.  Its arguments are ``markers, default, string encoder,
+#: indent, key separator, item separator, sort_keys, skipkeys,
+#: allow_nan``.  No circular-reference ``markers`` dict: a prebuilt
+#: encoder would share it between threads; a cyclic op ends in
+#: ``RecursionError`` instead of ``ValueError``.
+_encode_chunks = functools.partial(
+    c_make_encoder(None, json.JSONEncoder().default,
+                   encode_basestring_ascii, None, ":", ",",
+                   False, False, True),
+    _current_indent_level=0)
+
+
+def encode_op(op: dict[str, Any]) -> bytes:
+    """The record body of one logical op.
+
+    Byte-identical to ``json.dumps(op, separators=(",", ":"))`` encoded
+    as UTF-8.  Raises :class:`~repro.errors.StorageError` when ``op``
+    is not JSON-serializable (cyclic or too deeply nested included) —
+    which is why a journaling caller encodes *before* it applies the op
+    (see :class:`repro.concurrent.engine.ConcurrentLTree`): a rejected
+    op must leave no trace in memory either.
+    """
+    try:
+        return "".join(_encode_chunks(op)).encode("utf-8")
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise StorageError(
+            f"WAL op is not JSON-serializable ({exc})") from None
 
 
 def _iter_valid_records(raw: bytes,
@@ -121,7 +150,7 @@ def _iter_valid_records(raw: bytes,
         if body_len > MAX_RECORD_BYTES or body_end > len(raw):
             return                                 # torn mid-append
         body = raw[body_start:body_end]
-        if zlib.crc32(_SEQ.pack(seq) + body) != crc:
+        if zlib.crc32(body, zlib.crc32(_SEQ.pack(seq))) != crc:
             return                                 # torn or corrupt
         if seq != expected_seq:
             return                                 # out-of-order garbage
@@ -244,23 +273,23 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     # appending (group commit)
     # ------------------------------------------------------------------
-    def append(self, op: dict[str, Any]) -> int:
+    def append(self, op: dict[str, Any] | bytes) -> int:
         """Buffer one logical op; returns its sequence number.
 
-        The record is *not* durable until the batch holding it commits
-        (explicitly, or automatically once ``group_commit`` records have
-        accumulated).
+        ``op`` is the op dict, or the bytes :func:`encode_op` already
+        made of it (a caller that must validate the op before acting on
+        it encodes first and hands the body over).  The record is *not*
+        durable until the batch holding it commits (explicitly, or
+        automatically once ``group_commit`` records have accumulated).
         """
         obs = METRICS.enabled
         t0 = time.perf_counter() if obs else 0.0
-        try:
-            body = json.dumps(op, separators=(",", ":")).encode("utf-8")
-        except (TypeError, ValueError) as exc:
-            raise StorageError(
-                f"WAL op is not JSON-serializable ({exc})") from None
+        body = op if op.__class__ is bytes else encode_op(op)
         with self._lock:
             seq = self.last_seq + 1
-            self._pending.append(_encode_record(seq, body))
+            self._pending.append(_RECORD.pack(
+                len(body), zlib.crc32(body, zlib.crc32(_SEQ.pack(seq))),
+                seq) + body)
             self._pending_records += 1
             self.last_seq = seq
             self.records_appended += 1

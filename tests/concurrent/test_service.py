@@ -492,3 +492,65 @@ class TestWalWatermarkConsistency:
             foreign.truncate(watermark + 5)          # gap of 4 records
         with pytest.raises(StorageError, match="missing"):
             ConcurrentDocument.open(str(tmp_path / "svc"))
+
+
+#: one rejected call per op kind: a payload JSON cannot encode
+_REJECTED_OPS = {
+    "insert_after": lambda doc, h: doc.insert_after(h, {1, 2}),
+    "insert_before": lambda doc, h: doc.insert_before(h, object()),
+    "append": lambda doc, h: doc.append({"k": {3}}),
+    "prepend": lambda doc, h: doc.prepend(object()),
+    "insert_run_after": lambda doc, h: doc.insert_run_after(h,
+                                                            ["x", b"y"]),
+    "insert_run_before": lambda doc, h: doc.insert_run_before(h,
+                                                              [b"z"]),
+    "set_payload": lambda doc, h: doc.set_payload(h, object()),
+    "bulk_load": lambda doc, h: doc.bulk_load(["a", object()]),
+}
+
+
+class TestRejectedOpsLeaveNoTrace:
+    """The journal record is encoded before the arena is touched: an op
+    the WAL cannot encode raises with memory and log both unchanged,
+    and the service keeps serving."""
+
+    @staticmethod
+    def _state(doc):
+        return (doc.payloads(), doc.labels(), doc.label_map(),
+                doc.tree.write_counts(), doc.wal.last_seq,
+                doc.wal.pending_records)
+
+    @pytest.mark.parametrize("kind", sorted(_REJECTED_OPS))
+    def test_unencodable_payload(self, tmp_path, kind):
+        doc = _service(tmp_path)
+        live = _grow(doc, n_ops=40)
+        anchor = live[len(live) // 2]
+        before = self._state(doc)
+        with pytest.raises(StorageError, match="JSON-serializable"):
+            _REJECTED_OPS[kind](doc, anchor)
+        assert self._state(doc) == before
+        doc.insert_after(anchor, "still-serving")
+        doc.commit()
+        payloads, labels = doc.payloads(), doc.labels()
+        doc.close()
+        with ConcurrentDocument.open(str(tmp_path / "svc")) as back:
+            assert back.payloads() == payloads
+            assert back.labels() == labels
+            back.tree.validate()
+
+    @pytest.mark.parametrize("op", ["insert_after", "set_payload"])
+    def test_engine_refusal_journals_nothing(self, tmp_path, op):
+        """An op the engine refuses raises before its (already encoded)
+        record reaches the log."""
+        doc = _service(tmp_path)
+        live = _grow(doc, n_ops=20)
+        bad_slot = (live[0][0], 10_000)
+        before = self._state(doc)
+        with pytest.raises(IndexError):
+            getattr(doc, op)(bad_slot, "orphan")
+        assert self._state(doc) == before
+        doc.commit()
+        payloads = doc.payloads()
+        doc.close()
+        with ConcurrentDocument.open(str(tmp_path / "svc")) as back:
+            assert back.payloads() == payloads

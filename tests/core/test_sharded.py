@@ -211,6 +211,29 @@ class TestDirectory:
                       tree.iter_leaves(include_deleted=False)]
         assert live_after == live_before
 
+    def test_compact_bumps_every_shard_version(self):
+        """Compaction moves slots and labels under unchanged ids, so
+        every shard's version must move with them — else the memoized
+        ``label_columns`` hands back the pre-compaction column."""
+        tree, handles = _sharded(24, 3)
+        for handle in handles[1:23:3]:
+            tree.mark_deleted(handle)
+        versions = tree.shard_versions()
+        stale = {sid: tree.label_columns(sid) for sid in tree.shard_ids}
+        tree.compact()
+        after = tree.shard_versions()
+        assert all(after[sid] > versions[sid] for sid in tree.shard_ids)
+        for sid in tree.shard_ids:
+            live, column = tree.label_columns(sid)
+            assert (live, column) is not stale[sid]
+            expected = [slot for shard_id, slot
+                        in tree.iter_leaves(include_deleted=False)
+                        if shard_id == sid]
+            assert list(live) == expected
+            assert [tree.shard_prefix(sid) + column[slot]
+                    for slot in live] == \
+                [tree.num((sid, slot)) for slot in live]
+
 
 class TestPersistence:
     def _grown(self, tmp_path, n_shards=4, seed=11):
